@@ -1,12 +1,12 @@
 //! Criterion benchmarks for this PR's two hot paths, on the largest
 //! shipped workload (`haas`):
 //!
-//! * **correlation** — per-sample context unwinding (the reference path)
-//!   vs the batched fast path (sample dedup + hash-consed context trie)
-//!   vs the sharded-parallel fan-out on top of it;
+//! * **correlation** — context unwinding through the production entry
+//!   ([`sharded_context_profile`]: sample dedup + hash-consed context trie),
+//!   on one shard and fanned out over every thread;
 //! * **binprof** — the binary profile wire format vs the human-readable
-//!   text format, for both the bare context profile and a live
-//!   [`StreamAggregator`] snapshot/restore cycle.
+//!   text format for the bare context profile, and a live
+//!   [`StreamAggregator`] binary snapshot/restore cycle.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use csspgo_codegen::{lower_module, Binary};
@@ -18,7 +18,6 @@ use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::stream::{SnapshotFormat, StreamAggregator};
 use csspgo_core::tailcall::TailCallGraph;
 use csspgo_core::textprof;
-use csspgo_core::unwind::Unwinder;
 use csspgo_sim::{Machine, Sample, SimConfig};
 
 struct Profiled {
@@ -62,24 +61,16 @@ fn profiled_haas() -> Profiled {
 }
 
 fn context_profile_of(p: &Profiled) -> ContextProfile {
-    let mut uw = Unwinder::new(&p.binary, Some(&p.graph));
-    uw.unwind_batched(&p.samples)
+    sharded_context_profile(&p.binary, Some(&p.graph), &p.samples, 1).profile
 }
 
 fn bench_correlation(c: &mut Criterion) {
     let p = profiled_haas();
-    c.bench_function("correlate/unwind_per_sample", |b| {
+    c.bench_function("correlate/unwind_sharded_1", |b| {
         b.iter(|| {
-            let mut profile = ContextProfile::new();
-            let mut uw = Unwinder::new(black_box(&p.binary), Some(&p.graph));
-            uw.unwind_into(&p.samples, &mut profile);
-            profile.total()
-        })
-    });
-    c.bench_function("correlate/unwind_batched", |b| {
-        b.iter(|| {
-            let mut uw = Unwinder::new(black_box(&p.binary), Some(&p.graph));
-            uw.unwind_batched(&p.samples).total()
+            sharded_context_profile(black_box(&p.binary), Some(&p.graph), &p.samples, 1)
+                .profile
+                .total()
         })
     });
     c.bench_function("correlate/unwind_sharded_auto", |b| {
@@ -127,28 +118,13 @@ fn bench_snapshot(c: &mut Criterion) {
     agg.push_batch(p.samples.clone()).unwrap();
     agg.seal_epoch();
     let bin = agg.snapshot_as(SnapshotFormat::Binary);
-    let text = agg.snapshot_as(SnapshotFormat::Text);
-    println!(
-        "haas stream snapshot: {} bytes binary, {} bytes text",
-        bin.len(),
-        text.len()
-    );
+    println!("haas stream snapshot: {} bytes", bin.len());
     c.bench_function("snapshot/binary", |b| {
         b.iter(|| agg.snapshot_as(SnapshotFormat::Binary).len())
-    });
-    c.bench_function("snapshot/text", |b| {
-        b.iter(|| agg.snapshot_as(SnapshotFormat::Text).len())
     });
     c.bench_function("restore/binary", |b| {
         b.iter(|| {
             StreamAggregator::restore_from(&p.binary, cfg.stream.clone(), cfg.ingest_shards, &bin)
-                .unwrap()
-                .total_samples()
-        })
-    });
-    c.bench_function("restore/text", |b| {
-        b.iter(|| {
-            StreamAggregator::restore_from(&p.binary, cfg.stream.clone(), cfg.ingest_shards, &text)
                 .unwrap()
                 .total_samples()
         })

@@ -3,14 +3,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csspgo_codegen::{lower_module, Binary, CodegenConfig};
-use csspgo_core::context::ContextProfile;
 use csspgo_core::correlate::{dwarf_profile, probe_profile};
 use csspgo_core::inference::{infer_counts, InferenceMode};
 use csspgo_core::pipeline::PipelineConfig;
 use csspgo_core::preinline::{context_sizes, run_preinliner, PreInlineConfig};
 use csspgo_core::ranges::RangeCounts;
+use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::Unwinder;
 use csspgo_sim::{Machine, Sample, SimConfig};
 use std::collections::HashMap;
 
@@ -70,10 +69,9 @@ fn bench_unwinder(c: &mut Criterion) {
     let graph = TailCallGraph::build(&p.binary, &p.rc);
     c.bench_function("unwind/algorithm1_per_run", |b| {
         b.iter(|| {
-            let mut profile = ContextProfile::new();
-            let mut uw = Unwinder::new(&p.binary, Some(&graph));
-            uw.unwind_into(&p.samples, &mut profile);
-            profile.total()
+            sharded_context_profile(&p.binary, Some(&graph), &p.samples, 1)
+                .profile
+                .total()
         })
     });
     c.bench_function("unwind/tailcall_graph_build", |b| {
@@ -84,9 +82,7 @@ fn bench_unwinder(c: &mut Criterion) {
 fn bench_preinliner(c: &mut Criterion) {
     let p = profiled_hhvm(true);
     let graph = TailCallGraph::build(&p.binary, &p.rc);
-    let mut profile = ContextProfile::new();
-    let mut uw = Unwinder::new(&p.binary, Some(&graph));
-    uw.unwind_into(&p.samples, &mut profile);
+    let profile = sharded_context_profile(&p.binary, Some(&graph), &p.samples, 1).profile;
     c.bench_function("preinline/algorithm3_context_sizes", |b| {
         b.iter(|| context_sizes(&p.binary).len())
     });

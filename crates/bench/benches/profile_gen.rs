@@ -1,17 +1,15 @@
 //! Criterion benchmarks for the profile-generation hot path: sample
 //! correlation (`dwarf_profile` / `probe_profile`, which lean on the
-//! precomputed flat frame table) and context-tree construction, in both
-//! sequential and sharded-parallel form.
+//! precomputed flat frame table) and context-tree construction, on one
+//! shard and sharded-parallel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use csspgo_codegen::{lower_module, Binary};
-use csspgo_core::context::ContextProfile;
 use csspgo_core::correlate::{dwarf_profile, probe_profile};
 use csspgo_core::pipeline::PipelineConfig;
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::{sharded_context_profile, sharded_range_counts};
 use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::Unwinder;
 use csspgo_sim::{Machine, Sample, SimConfig};
 
 struct Profiled {
@@ -126,12 +124,11 @@ fn bench_range_counts(c: &mut Criterion) {
 fn bench_context_tree(c: &mut Criterion) {
     let p = profiled_hhvm(true);
     let graph = TailCallGraph::build(&p.binary, &p.rc);
-    c.bench_function("profile_gen/context_tree_sequential", |b| {
+    c.bench_function("profile_gen/context_tree_sharded_1", |b| {
         b.iter(|| {
-            let mut profile = ContextProfile::new();
-            let mut uw = Unwinder::new(&p.binary, Some(&graph));
-            uw.unwind_into(&p.samples, &mut profile);
-            profile.total()
+            sharded_context_profile(&p.binary, Some(&graph), &p.samples, 1)
+                .profile
+                .total()
         })
     });
     c.bench_function("profile_gen/context_tree_sharded_auto", |b| {

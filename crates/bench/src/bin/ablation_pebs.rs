@@ -12,11 +12,10 @@
 
 use csspgo_bench::{experiment_config, improvement_pct, traffic_scale};
 use csspgo_codegen::lower_module;
-use csspgo_core::context::ContextProfile;
 use csspgo_core::pipeline::{run_pgo_cycle, PgoVariant};
 use csspgo_core::ranges::RangeCounts;
+use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::tailcall::TailCallGraph;
-use csspgo_core::unwind::Unwinder;
 use csspgo_sim::{Machine, SimConfig};
 
 fn main() {
@@ -57,9 +56,8 @@ fn main() {
         let mut rc = RangeCounts::default();
         rc.add_samples(&b, &samples);
         let graph = TailCallGraph::build(&b, &rc);
-        let mut profile = ContextProfile::new();
-        let mut uw = Unwinder::new(&b, Some(&graph));
-        uw.unwind_into(&samples, &mut profile);
+        let unwound = sharded_context_profile(&b, Some(&graph), &samples, cfg.ingest_shards);
+        let profile = unwound.profile;
 
         let outcome = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg).expect("full");
         println!(
@@ -69,7 +67,7 @@ fn main() {
             } else {
                 "no PEBS (skid)"
             },
-            uw.broken_stacks,
+            unwound.broken_stacks,
             profile.total(),
             profile.node_count(),
             improvement_pct(autofdo.eval.cycles, outcome.eval.cycles),

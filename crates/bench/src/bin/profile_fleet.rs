@@ -23,12 +23,9 @@
 //! Per-tenant epoch rows plus fleet aggregates are written to
 //! `BENCH_profile_fleet.json` (override with `BENCH_PROFILE_FLEET_OUT`).
 //! `CSSPGO_RESIDENT_CAP` overrides the cap (`0` = unbounded);
-//! `CSSPGO_SNAPSHOT_FORMAT` and `CSSPGO_SCALE` behave as in
-//! `profile_serve`.
+//! `CSSPGO_SCALE` scales every tenant's traffic.
 
-use csspgo_bench::{
-    snapshot_format_from_env, traffic_scale, write_fleet_bench, FleetBenchRecord, FleetBenchReport,
-};
+use csspgo_bench::{traffic_scale, write_fleet_bench, FleetBenchRecord, FleetBenchReport};
 use csspgo_core::fleet::{
     FleetBinaries, FleetConfig, FleetEvent, FleetService, TenantId, TenantSpec, VersionSpec,
 };
@@ -100,7 +97,6 @@ fn main() {
         .batch_samples(BATCH_SAMPLES)
         .resident_cap(resident_cap_from_env())
         .refresh_queue_cap(REFRESH_QUEUE_CAP)
-        .snapshot_format(snapshot_format_from_env())
         .build()
         .expect("fleet config is valid");
 
@@ -168,11 +164,10 @@ fn main() {
             FleetEvent::SnapshotChecked {
                 tenant,
                 version,
-                format,
                 bytes,
             } => {
                 println!(
-                    "{tenant} {version:>14} {:>11}: {format} {bytes} bytes, restores bit-identical",
+                    "{tenant} {version:>14} {:>11}: binary {bytes} bytes, restores bit-identical",
                     "snapshot"
                 );
             }

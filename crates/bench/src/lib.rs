@@ -9,7 +9,7 @@
 
 use csspgo_core::fleet::{EpochEvent, FleetStats, RefreshEvent};
 use csspgo_core::pipeline::{run_pgo_cycle, PgoOutcome, PgoVariant, PipelineConfig, StageTimes};
-use csspgo_core::{SnapshotFormat, Workload};
+use csspgo_core::Workload;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -25,23 +25,6 @@ pub fn traffic_scale() -> f64 {
             Err(_) => {
                 eprintln!("warning: CSSPGO_SCALE={raw:?} is not a number; using scale 1.0");
                 1.0
-            }
-        },
-    }
-}
-
-/// Snapshot wire format for the serving bins' mid-stream self-check;
-/// override with `CSSPGO_SNAPSHOT_FORMAT=text|binary`. An unrecognized
-/// value warns on stderr and falls back to binary (the production
-/// format), following the [`traffic_scale`] convention.
-pub fn snapshot_format_from_env() -> SnapshotFormat {
-    match std::env::var("CSSPGO_SNAPSHOT_FORMAT") {
-        Err(_) => SnapshotFormat::Binary,
-        Ok(raw) => match raw.parse() {
-            Ok(fmt) => fmt,
-            Err(e) => {
-                eprintln!("warning: CSSPGO_SNAPSHOT_FORMAT: {e}; using binary");
-                SnapshotFormat::Binary
             }
         },
     }
@@ -216,8 +199,8 @@ impl PipelineBenchRecord {
     }
 
     /// Builds a record with a free-form label in the `variant` column —
-    /// how non-cycle rows (e.g. `profile_serve`'s per-epoch ingest
-    /// timings, labeled `epoch-N`) share the `BENCH_pipeline.json` shape.
+    /// how non-cycle rows (e.g. `bench_pipeline`'s `drift-*` comparison
+    /// rows) share the `BENCH_pipeline.json` shape.
     pub fn labeled(workload: &str, label: &str, t: &StageTimes) -> Self {
         PipelineBenchRecord {
             schema: BENCH_SCHEMA.to_string(),
@@ -248,7 +231,7 @@ impl PipelineBenchRecord {
     }
 
     /// Attaches annotation stale-handling counters (for rows that ran an
-    /// annotation stage, e.g. `profile_serve`'s drift `refresh`).
+    /// annotation stage, e.g. `bench_pipeline`'s drifted rows).
     pub fn with_stale(mut self, dropped: usize, recovered: usize) -> Self {
         self.stale_dropped = dropped;
         self.stale_recovered = recovered;

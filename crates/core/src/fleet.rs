@@ -27,9 +27,8 @@
 //! Construction is two-phase because [`StreamAggregator`] (and
 //! [`Machine`]) borrow the profiled [`Binary`]: [`FleetBinaries::compile`]
 //! owns the compiled artifacts, then [`FleetService::new`] borrows them
-//! for the serving lifetime. `profile_serve` (one tenant at a time) and
-//! `profile_fleet` (N tenants × M versions) are both thin CLI wrappers
-//! over this type.
+//! for the serving lifetime. The `profile_fleet` bench binary (N tenants
+//! × M versions) is a thin CLI wrapper over this type.
 
 use crate::context::ContextProfile;
 use crate::pipeline::{
@@ -179,8 +178,6 @@ pub struct FleetConfig {
     /// Bounded depth of the drift-refresh queue; watchdog requests past
     /// this are dropped (and counted), never queued unboundedly.
     pub refresh_queue_cap: usize,
-    /// Wire format used for the mid-stream snapshot self-check.
-    pub snapshot_format: SnapshotFormat,
     /// Whether to snapshot→restore→compare each aggregator once
     /// mid-stream (the epoch invariant, live).
     pub snapshot_check: bool,
@@ -194,7 +191,6 @@ impl Default for FleetConfig {
             batch_samples: 256,
             resident_cap: 0,
             refresh_queue_cap: 8,
-            snapshot_format: SnapshotFormat::Binary,
             snapshot_check: true,
         }
     }
@@ -275,13 +271,6 @@ impl FleetConfigBuilder {
     #[must_use]
     pub fn refresh_queue_cap(mut self, cap: usize) -> Self {
         self.cfg.refresh_queue_cap = cap;
-        self
-    }
-
-    /// Sets the snapshot wire format for the mid-stream self-check.
-    #[must_use]
-    pub fn snapshot_format(mut self, format: SnapshotFormat) -> Self {
-        self.cfg.snapshot_format = format;
         self
     }
 
@@ -550,8 +539,6 @@ pub enum FleetEvent {
         tenant: TenantId,
         /// Version label checked.
         version: String,
-        /// Wire format that was persisted.
-        format: SnapshotFormat,
         /// Snapshot payload size.
         bytes: usize,
     },
@@ -997,7 +984,7 @@ impl TenantRt<'_> {
             if cfg.snapshot_check && !v.snapshot_checked {
                 v.snapshot_checked = true;
                 let agg = v.agg.as_ref().expect("checked above");
-                let bytes = agg.snapshot_as(cfg.snapshot_format);
+                let bytes = agg.snapshot_as(SnapshotFormat::Binary);
                 let restored = StreamAggregator::restore_from(
                     v.binary,
                     cfg.pipeline.stream.clone(),
@@ -1015,7 +1002,6 @@ impl TenantRt<'_> {
                 events.push(FleetEvent::SnapshotChecked {
                     tenant: self.id,
                     version: v.label.clone(),
-                    format: cfg.snapshot_format,
                     bytes: bytes.len(),
                 });
             }

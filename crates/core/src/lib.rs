@@ -17,8 +17,9 @@
 //! * [`shard`] — parallel sharded sample ingestion (chunk → partial
 //!   profiles → count-additive merge, bit-identical to sequential);
 //! * [`binprof`] — the compact binary profile wire format (ExtBinary-shaped
-//!   header/sections/varints), the production serialization behind
-//!   snapshots and pipeline hand-off; textprof stays the debug format;
+//!   header/sections/varints), the one serialization behind stream
+//!   snapshots and pipeline hand-off ([`textprof`] is the human-readable
+//!   profile format of the CLI);
 //! * [`tailcall`] — the missing-frame inferrer for tail-call-broken stacks;
 //! * [`inference`] — profile inference (min-cost-flow flow-conservation
 //!   repair — real Profi — used by *all* sampling variants, per the paper's
@@ -33,8 +34,8 @@
 //!   [`stalematch::StaleMatching`]);
 //! * [`overlap`] — the block-overlap profile-quality metric of Table I;
 //! * [`pipeline`] — end-to-end PGO cycles for every variant the paper
-//!   evaluates ([`pipeline::PgoVariant`]), fed by pluggable
-//!   [`pipeline::ProfileSource`]s;
+//!   evaluates ([`pipeline::PgoVariant`]), from a fresh or drifted build
+//!   source;
 //! * [`stream`] — the streaming aggregation service: epoch-incremental
 //!   bounded-memory profile folding with snapshot/restore and drift
 //!   detection (the continuous-profiling deployment mode);
@@ -71,8 +72,8 @@ pub use fleet::{
     FleetService, FleetStats, RefreshEvent, TenantId, TenantSpec, TrafficShare, VersionSpec,
 };
 pub use pipeline::{
-    run_pgo_cycle, run_pgo_cycle_with, BatchSource, EpochSource, PgoOutcome, PgoVariant,
-    PipelineConfig, PipelineConfigBuilder, PipelineError, ProfileSource, StageTimes,
+    run_pgo_cycle, BatchSource, PgoOutcome, PgoVariant, PipelineConfig, PipelineConfigBuilder,
+    PipelineError, ProfileSource, StageTimes,
 };
 pub use release_train::{
     run_release_train, CanaryReport, ReleaseReport, ReleaseSpec, TrainBenchDoc, TrainConfig,

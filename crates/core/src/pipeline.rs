@@ -387,12 +387,12 @@ pub enum PipelineError {
     /// A configuration combination rejected by the builder
     /// ([`PipelineConfig::validate`]).
     InvalidConfig(String),
-    /// Malformed profile or snapshot text.
+    /// Malformed profile text.
     Profile(crate::textprof::ParseError),
     /// Malformed binary profile payload (see [`crate::binprof`]).
     Decode(crate::binprof::DecodeError),
-    /// Streaming-aggregation misuse: buffer overflow, binary mismatch,
-    /// malformed snapshot structure (see [`crate::stream`]).
+    /// Streaming-aggregation misuse: buffer overflow, or a snapshot taken
+    /// against a different binary (see [`crate::stream`]).
     Stream(String),
     /// An internal invariant on sample/profile data did not hold.
     Inconsistent(&'static str),
@@ -477,12 +477,12 @@ pub struct PgoOutcome {
 ///
 /// The pipeline builds the profiling binary and the machine; the source
 /// decides how the workload's training traffic is driven and how samples
-/// are drained. [`BatchSource`] reproduces the classic one-shot run;
-/// [`EpochSource`] drains samples in epoch-sized batches, the shape the
-/// streaming aggregator ([`crate::stream`]) consumes in production. Both
-/// must return the *complete, ordered* sample stream of the run — the
-/// simulator is deterministic, so any faithful drainage yields the same
-/// stream and therefore a bit-identical profile.
+/// are drained. [`BatchSource`], the classic one-shot run, is the source
+/// [`run_pgo_cycle_drifted`] uses. A source must return the *complete,
+/// ordered* sample stream of the run — the simulator is deterministic, so
+/// any faithful drainage yields the same stream and therefore a
+/// bit-identical profile. (Epoch-wise streaming ingestion lives in
+/// [`crate::stream`].)
 pub trait ProfileSource {
     /// Short description used in diagnostics.
     fn describe(&self) -> String;
@@ -522,61 +522,8 @@ impl ProfileSource for BatchSource {
     }
 }
 
-/// Streaming-style profiling: training traffic is issued in epochs of
-/// `calls_per_epoch` requests, samples drained after each epoch — the
-/// AlwaysOn-collection shape. The concatenated stream is identical to a
-/// [`BatchSource`] run, so the downstream profile is bit-identical; the
-/// per-epoch batch sizes are recorded in [`EpochSource::batch_sizes`] for
-/// callers that feed a [`crate::stream::StreamAggregator`].
-#[derive(Clone, Debug)]
-pub struct EpochSource {
-    /// Training calls per epoch (0 degenerates to one epoch).
-    pub calls_per_epoch: usize,
-    /// Sample count of each collected epoch, filled by `collect`.
-    pub batch_sizes: Vec<usize>,
-}
-
-impl EpochSource {
-    /// An epoch source draining every `calls_per_epoch` training calls.
-    pub fn new(calls_per_epoch: usize) -> Self {
-        EpochSource {
-            calls_per_epoch,
-            batch_sizes: Vec::new(),
-        }
-    }
-}
-
-impl ProfileSource for EpochSource {
-    fn describe(&self) -> String {
-        format!("epochs of {} calls", self.calls_per_epoch)
-    }
-
-    fn collect(
-        &mut self,
-        machine: &mut Machine<'_>,
-        workload: &Workload,
-    ) -> Result<Vec<Sample>, PipelineError> {
-        self.batch_sizes.clear();
-        let chunk = if self.calls_per_epoch == 0 {
-            workload.train_calls.len().max(1)
-        } else {
-            self.calls_per_epoch
-        };
-        let mut samples = Vec::new();
-        for epoch_calls in workload.train_calls.chunks(chunk) {
-            for args in epoch_calls {
-                machine.call(&workload.entry, args)?;
-            }
-            let batch = machine.take_samples();
-            self.batch_sizes.push(batch.len());
-            samples.extend(batch);
-        }
-        Ok(samples)
-    }
-}
-
-/// Runs one full PGO cycle for `workload` with `variant`, profiling via the
-/// classic one-shot [`BatchSource`].
+/// Runs one full PGO cycle for `workload` with `variant`: the optimized
+/// build compiles the profiled source itself.
 ///
 /// # Errors
 ///
@@ -587,19 +534,13 @@ pub fn run_pgo_cycle(
     variant: PgoVariant,
     config: &PipelineConfig,
 ) -> Result<PgoOutcome, PipelineError> {
-    run_pgo_cycle_with(
-        workload,
-        variant,
-        config,
-        &mut BatchSource,
-        &workload.source,
-    )
+    run_pgo_cycle_drifted(workload, variant, config, &workload.source)
 }
 
-/// Like [`run_pgo_cycle`] but the *optimized* build compiles
-/// `build_source` instead of the profiled source — the paper's source-drift
-/// scenario (profile collected on last week's binary, build uses today's
-/// code).
+/// Runs one full PGO cycle for `workload` with `variant`, profiling the
+/// workload's own source through [`BatchSource`] while the *optimized*
+/// build compiles `build_source` — the paper's source-drift scenario
+/// (profile collected on last week's binary, build uses today's code).
 ///
 /// # Errors
 ///
@@ -609,25 +550,6 @@ pub fn run_pgo_cycle_drifted(
     workload: &Workload,
     variant: PgoVariant,
     config: &PipelineConfig,
-    build_source: &str,
-) -> Result<PgoOutcome, PipelineError> {
-    run_pgo_cycle_with(workload, variant, config, &mut BatchSource, build_source)
-}
-
-/// The unified PGO-cycle entry point: one signature accepts any
-/// [`ProfileSource`] (batch or streaming epochs) and any build source
-/// (fresh or drifted). [`run_pgo_cycle`] and [`run_pgo_cycle_drifted`] are
-/// thin wrappers over this.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if a source fails to compile or a simulation
-/// exceeds its budget.
-pub fn run_pgo_cycle_with(
-    workload: &Workload,
-    variant: PgoVariant,
-    config: &PipelineConfig,
-    source: &mut dyn ProfileSource,
     build_source: &str,
 ) -> Result<PgoOutcome, PipelineError> {
     let mut outcome = PgoOutcome {
@@ -653,11 +575,7 @@ pub fn run_pgo_cycle_with(
     let profiling_binary = if variant == PgoVariant::O2 {
         None
     } else {
-        let mut module = csspgo_lang::compile(&workload.source, &workload.name)?;
-        csspgo_opt::discriminators::run(&mut module);
-        if variant.uses_probes() {
-            csspgo_opt::probes::run(&mut module);
-        }
+        let mut module = fresh_module(workload, variant.uses_probes())?;
         if variant == PgoVariant::Instr {
             let map = csspgo_opt::instrument::run_with(&mut module, &config.instrument);
             outcome.counter_sites = map.len();
@@ -690,7 +608,7 @@ pub fn run_pgo_cycle_with(
         for (name, values) in &workload.setup {
             machine.set_global(name, values);
         }
-        samples = source.collect(&mut machine, workload)?;
+        samples = BatchSource.collect(&mut machine, workload)?;
         outcome.profiling = *machine.stats();
         counters = machine.counters().to_vec();
     }
@@ -715,11 +633,7 @@ pub fn run_pgo_cycle_with(
     // The plan references the *fresh build module*; compile it first.
     // (Frontend time for the optimized build counts toward `recompile_ms`.)
     let stage_start = Instant::now();
-    let mut build_module = csspgo_lang::compile(build_source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut build_module);
-    if variant.uses_probes() {
-        csspgo_opt::probes::run(&mut build_module);
-    }
+    let mut build_module = frontend(build_source, &workload.name, variant.uses_probes())?;
     let build_frontend_ms = ms_since(stage_start);
 
     let stage_start = Instant::now();
@@ -779,8 +693,7 @@ pub fn run_pgo_cycle_with(
                 // Sparse measurements are solved back to full flow against
                 // the profiling build's pre-instrumentation CFG (the one
                 // the placement was planned on).
-                let mut ref_module = csspgo_lang::compile(&workload.source, &workload.name)?;
-                csspgo_opt::discriminators::run(&mut ref_module);
+                let ref_module = fresh_module(workload, false)?;
                 let mut per_func: std::collections::HashMap<
                     csspgo_ir::FuncId,
                     std::collections::HashMap<csspgo_ir::flow::FlowEdge, u64>,
@@ -838,11 +751,7 @@ pub fn run_pgo_cycle_with(
 
     // ---------- quality snapshot (no replay, common CFG) ----------
     {
-        let mut q_module = csspgo_lang::compile(build_source, &workload.name)?;
-        csspgo_opt::discriminators::run(&mut q_module);
-        if variant.uses_probes() {
-            csspgo_opt::probes::run(&mut q_module);
-        }
+        let mut q_module = frontend(build_source, &workload.name, variant.uses_probes())?;
         let no_replay = AnnotateConfig {
             inline_budget: 0,
             ..config.annotate
@@ -941,11 +850,7 @@ pub fn build_and_run(
     with_probes: bool,
     config: &PipelineConfig,
 ) -> Result<(RunStats, SectionSizes), PipelineError> {
-    let mut module = csspgo_lang::compile(&workload.source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut module);
-    if with_probes {
-        csspgo_opt::probes::run(&mut module);
-    }
+    let mut module = fresh_module(workload, with_probes)?;
     csspgo_opt::run_pipeline(&mut module, &config.opt);
     if let Some(root) = module.find_function(&workload.entry) {
         csspgo_opt::strip::run(&mut module, &[root]);
@@ -955,9 +860,17 @@ pub fn build_and_run(
     Ok((stats, binary.sections))
 }
 
-/// Fresh-IR compile helper used by quality experiments.
+/// Fresh-IR compile helper used by quality experiments: compile,
+/// discriminators and (with `probes`) pseudo-probes over the workload's
+/// own source — the frontend every build of a PGO cycle starts from.
 pub fn fresh_module(workload: &Workload, probes: bool) -> Result<Module, PipelineError> {
-    let mut m = csspgo_lang::compile(&workload.source, &workload.name)?;
+    frontend(&workload.source, &workload.name, probes)
+}
+
+/// The one frontend sequence every build starts from: compile, assign
+/// discriminators, then (for probe-based variants) insert pseudo-probes.
+fn frontend(source: &str, name: &str, probes: bool) -> Result<Module, PipelineError> {
+    let mut m = csspgo_lang::compile(source, name)?;
     csspgo_opt::discriminators::run(&mut m);
     if probes {
         csspgo_opt::probes::run(&mut m);
@@ -1173,22 +1086,5 @@ fn score(n) {
             o.stage_times.total_ms() >= o.stage_times.inference_ms,
             "inference is part of the total"
         );
-    }
-
-    #[test]
-    fn epoch_source_matches_batch_source_bit_for_bit() {
-        let w = tiny_workload();
-        let cfg = quick_config();
-        for v in [PgoVariant::AutoFdo, PgoVariant::CsspgoFull] {
-            let batch = run_pgo_cycle(&w, v, &cfg).unwrap();
-            let mut epochs = EpochSource::new(1);
-            let streamed = run_pgo_cycle_with(&w, v, &cfg, &mut epochs, &w.source).unwrap();
-            assert!(epochs.batch_sizes.len() > 1, "traffic split into epochs");
-            assert_eq!(batch.eval_result_hash, streamed.eval_result_hash);
-            assert_eq!(batch.eval.cycles, streamed.eval.cycles);
-            assert_eq!(batch.sections.text, streamed.sections.text);
-            assert_eq!(batch.profiling.samples, streamed.profiling.samples);
-            assert_eq!(batch.plan_len, streamed.plan_len);
-        }
     }
 }

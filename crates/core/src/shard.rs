@@ -74,11 +74,13 @@ pub struct UnwindOutput {
 }
 
 /// Unwinds `samples` into a [`ContextProfile`], `shards`-way parallel
-/// (`0` = auto). Each shard runs the batched fast path
-/// ([`Unwinder::unwind_batched`]: sample dedup + hash-consed trie), itself
-/// bit-identical to sequential [`Unwinder::unwind_into`]; the unwinder
-/// processes each sample independently, so chunking plus [`merge_context`]
-/// reproduces the sequential trie exactly.
+/// (`0` = auto) — the one production unwinding entry, used by the batch
+/// pipeline, stream epochs, the CLI and the benches. Each shard runs the
+/// batched kernel ([`Unwinder::unwind_batched`]: sample dedup +
+/// hash-consed trie); the unwinder processes each sample independently,
+/// so chunking plus [`merge_context`] reproduces the sequential trie
+/// exactly. Tests pin the result, bit for bit, to the sequential reference
+/// [`Unwinder::unwind_into`].
 pub fn sharded_context_profile(
     binary: &Binary,
     tail_graph: Option<&TailCallGraph>,

@@ -12,13 +12,12 @@
 //! * each epoch is ingested with the same sharded machinery as the batch
 //!   pipeline ([`crate::shard`]) and folded into the cumulative profile
 //!   with the count-additive cross-host merge ([`crate::merge`]);
-//! * the cumulative state round-trips through a snapshot
+//! * the cumulative state round-trips through a compact binary snapshot
 //!   ([`StreamAggregator::snapshot_as`] /
-//!   [`StreamAggregator::restore_from`]) in either [`SnapshotFormat`]:
-//!   the compact binary format ([`crate::binprof`]) is the production
-//!   path, the text form stays as the human-readable debug format, and
-//!   the two are losslessly interchangeable — `restore_from` sniffs the
-//!   binprof magic, so callers never track which format was persisted;
+//!   [`StreamAggregator::restore_from`], in the [`crate::binprof`] wire
+//!   format); every instruction index read back is checked against the
+//!   binary, so a corrupt payload is rejected on restore instead of
+//!   panicking on first use;
 //! * under a resident-context cap, cold context subtrees can be evicted
 //!   ([`StreamAggregator::evict_contexts`]): their weight folds into the
 //!   per-function base profiles (the [`crate::context`] conservation
@@ -45,12 +44,9 @@ use crate::profile::ProbeProfile;
 use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
 use crate::tailcall::{InferStats, TailCallGraph};
-use crate::textprof;
 use csspgo_codegen::Binary;
 use csspgo_sim::Sample;
-use std::collections::BTreeMap;
-use std::fmt;
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Streaming-aggregation knobs (embedded in
@@ -119,46 +115,15 @@ impl EpochSummary {
     }
 }
 
-/// The snapshot wire formats a [`StreamAggregator`] speaks, unified behind
-/// [`StreamAggregator::snapshot_as`] / [`StreamAggregator::restore_from`].
+/// The snapshot wire format of [`StreamAggregator::snapshot_as`].
 ///
-/// `Binary` is the production format ([`crate::binprof`], magic-tagged);
-/// `Text` is the human-readable debug format. Both are lossless and
-/// interchangeable: restoring either and re-snapshotting yields canonical
-/// output, and `restore_from` sniffs the binprof magic so callers never
-/// need to remember which format a payload was persisted in.
+/// Snapshots have one format, the magic-tagged [`crate::binprof`]
+/// encoding. The enum and its single variant stay so that callers written
+/// against `snapshot_as(SnapshotFormat::Binary)` keep compiling unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SnapshotFormat {
-    /// Human-readable debug snapshot (`# csspgo-stream-snapshot v1` text).
-    Text,
-    /// Compact binprof snapshot (the production path).
+    /// Compact binprof snapshot.
     Binary,
-}
-
-impl fmt::Display for SnapshotFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SnapshotFormat::Text => "text",
-            SnapshotFormat::Binary => "binary",
-        })
-    }
-}
-
-impl std::str::FromStr for SnapshotFormat {
-    type Err = String;
-
-    /// Parses `"text"` / `"binary"` (case-insensitive).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("text") {
-            Ok(SnapshotFormat::Text)
-        } else if s.eq_ignore_ascii_case("binary") {
-            Ok(SnapshotFormat::Binary)
-        } else {
-            Err(format!(
-                "unknown snapshot format {s:?} (expected \"text\" or \"binary\")"
-            ))
-        }
-    }
 }
 
 /// A depth-1 context-trie edge — root function `root` calling `callee`
@@ -553,232 +518,13 @@ impl<'b> StreamAggregator<'b> {
     // Snapshot / restore
     // -----------------------------------------------------------------
 
-    /// Serializes the cumulative state in the requested wire format.
-    ///
-    /// Both formats carry the same content — fingerprint guard,
-    /// epoch/sample counters, pinned tail-call graph, range/branch counts,
-    /// previous-epoch probe weights, the context profile — and both are
-    /// canonical: restore → re-snapshot is byte-identical.
-    pub fn snapshot_as(&self, format: SnapshotFormat) -> Vec<u8> {
-        match format {
-            SnapshotFormat::Text => self.snapshot_text().into_bytes(),
-            SnapshotFormat::Binary => self.snapshot_binary(),
-        }
-    }
-
-    /// Rebuilds an aggregator from a snapshot in *either* format: the
-    /// payload is sniffed for the [`crate::binprof`] magic and decoded as
-    /// binary when it matches, as UTF-8 text otherwise. The inverse of
-    /// [`Self::snapshot_as`], without the caller having to remember which
-    /// format was persisted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Decode`] for a malformed binary payload,
-    /// [`PipelineError::Profile`] for an unparsable text context section,
-    /// and [`PipelineError::Stream`] when the payload is neither format or
-    /// was taken against a different binary build.
-    pub fn restore_from(
-        binary: &'b Binary,
-        config: StreamConfig,
-        ingest_shards: usize,
-        bytes: &[u8],
-    ) -> Result<Self, PipelineError> {
-        if bytes.starts_with(&binprof::MAGIC) {
-            return Self::restore_binary(binary, config, ingest_shards, bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| {
-            PipelineError::Stream(
-                "snapshot payload is neither binprof (no magic) nor UTF-8 text".into(),
-            )
-        })?;
-        Self::restore_text(binary, config, ingest_shards, text)
-    }
-
-    /// Serializes the cumulative state to text — the human-readable
-    /// **debug** snapshot format (production snapshots use
-    /// [`SnapshotFormat::Binary`]). The context section is the
-    /// [`crate::textprof`] CS format (named via the binary's symbol table
-    /// so GUIDs survive the name-hash round-trip); ranges, branches, and
-    /// the pinned tail-call graph ride along in sorted line sections, and
-    /// a binary fingerprint guards against restoring onto a different
-    /// build.
-    fn snapshot_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# csspgo-stream-snapshot v1");
-        let _ = writeln!(out, "# fingerprint: {:#x}", binary_fingerprint(self.binary));
-        let _ = writeln!(out, "# epochs: {}", self.epochs_sealed);
-        let _ = writeln!(out, "# samples: {}", self.total_samples);
-
-        let _ = writeln!(out, "!tail-graph");
-        if let Some(g) = &self.tail_graph {
-            let mut edges: Vec<(u32, u32, usize)> = g.edges().collect();
-            edges.sort_unstable();
-            for (caller, callee, inst) in edges {
-                let _ = writeln!(out, "{caller} {callee} {inst}");
-            }
-        }
-
-        let _ = writeln!(out, "!ranges");
-        let mut ranges: Vec<((usize, usize), u64)> =
-            self.rc.ranges.iter().map(|(&k, &v)| (k, v)).collect();
-        ranges.sort_unstable();
-        for ((b, e), c) in ranges {
-            let _ = writeln!(out, "{b} {e} {c}");
-        }
-
-        let _ = writeln!(out, "!branches");
-        let mut branches: Vec<((usize, usize), u64)> =
-            self.rc.branches.iter().map(|(&k, &v)| (k, v)).collect();
-        branches.sort_unstable();
-        for ((f, t), c) in branches {
-            let _ = writeln!(out, "{f} {t} {c}");
-        }
-
-        let _ = writeln!(out, "!weights");
-        if let Some(w) = &self.last_weights {
-            for (&(guid, probe), &count) in w {
-                let _ = writeln!(out, "{guid} {probe} {count}");
-            }
-        }
-
-        let _ = writeln!(out, "!context");
-        let mut named = self.profile.clone();
-        for f in &self.binary.funcs {
-            named.names.insert(f.guid, f.name.clone());
-        }
-        out.push_str(&textprof::write_context(&named));
-        out
-    }
-
-    /// Rebuilds an aggregator from a text snapshot, ready to resume
-    /// folding epochs where the snapshot left off.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Stream`] when the snapshot structure is
-    /// malformed or was taken against a different binary, and
-    /// [`PipelineError::Profile`] when the context section fails to parse.
-    fn restore_text(
-        binary: &'b Binary,
-        config: StreamConfig,
-        ingest_shards: usize,
-        text: &str,
-    ) -> Result<Self, PipelineError> {
-        let bad = |msg: String| PipelineError::Stream(msg);
-        let mut agg = Self::build(binary, config, ingest_shards, None);
-
-        #[derive(PartialEq)]
-        enum Section {
-            Header,
-            TailGraph,
-            Ranges,
-            Branches,
-            Weights,
-        }
-        let mut section = Section::Header;
-        let mut graph = TailCallGraph::default();
-        let mut saw_graph_edges = false;
-        let mut weights: BTreeMap<(u64, u32), u64> = BTreeMap::new();
-
-        let Some((head, ctx_text)) = textprof::split_snapshot_context(text) else {
-            return Err(bad("snapshot has no !context section".into()));
-        };
-        for (lineno, line) in head.lines().enumerate() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("# fingerprint:") {
-                let v = rest.trim().trim_start_matches("0x");
-                let fp = u64::from_str_radix(v, 16)
-                    .map_err(|_| bad(format!("line {}: bad fingerprint", lineno + 1)))?;
-                if fp != binary_fingerprint(binary) {
-                    return Err(bad(
-                        "snapshot was taken against a different binary build".into()
-                    ));
-                }
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("# epochs:") {
-                agg.epochs_sealed = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad(format!("line {}: bad epoch count", lineno + 1)))?;
-                continue;
-            }
-            if let Some(rest) = trimmed.strip_prefix("# samples:") {
-                agg.total_samples = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad(format!("line {}: bad sample count", lineno + 1)))?;
-                continue;
-            }
-            if trimmed.starts_with('#') {
-                continue;
-            }
-            match trimmed {
-                "!tail-graph" => section = Section::TailGraph,
-                "!ranges" => section = Section::Ranges,
-                "!branches" => section = Section::Branches,
-                "!weights" => section = Section::Weights,
-                _ => {
-                    let mut nums = trimmed.split_whitespace().map(str::parse::<u64>);
-                    let mut next = || {
-                        nums.next().and_then(Result::ok).ok_or_else(|| {
-                            bad(format!("line {}: expected three integers", lineno + 1))
-                        })
-                    };
-                    let (a, b, c) = (next()?, next()?, next()?);
-                    match section {
-                        Section::Header => {
-                            return Err(bad(format!(
-                                "line {}: data before any section marker",
-                                lineno + 1
-                            )))
-                        }
-                        Section::TailGraph => {
-                            graph.insert_edge(a as u32, b as u32, c as usize);
-                            saw_graph_edges = true;
-                        }
-                        Section::Ranges => {
-                            agg.rc.ranges.insert((a as usize, b as usize), c);
-                        }
-                        Section::Branches => {
-                            agg.rc.branches.insert((a as usize, b as usize), c);
-                        }
-                        Section::Weights => {
-                            weights.insert((a, b as u32), c);
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut profile = textprof::parse_context(ctx_text)?;
-        // The aggregator's working profile carries no names (exactly like
-        // the batch unwinding path); the snapshot only named functions so
-        // GUIDs would survive the text round-trip.
-        profile.names.clear();
-        agg.profile = profile;
-        if saw_graph_edges {
-            agg.tail_graph = Some(graph);
-        }
-        if !weights.is_empty() {
-            agg.last_weights = Some(weights);
-        }
-        Ok(agg)
-    }
-
-    /// Serializes the cumulative state to the compact binary snapshot — the
-    /// production snapshot path ([`SnapshotFormat::Text`] is the debug
-    /// format). Same content as the text snapshot: fingerprint guard,
-    /// epoch/sample counters, pinned tail-call graph, range/branch counts,
-    /// previous-epoch probe weights, and the context profile (as a nested
-    /// [`crate::binprof`] payload — GUIDs are stored natively, so no name
-    /// round-trip is needed). The encoding is canonical: restoring and
-    /// re-snapshotting yields byte-identical output.
-    fn snapshot_binary(&self) -> Vec<u8> {
+    /// Serializes the cumulative state to the compact binary snapshot:
+    /// fingerprint guard, epoch/sample counters, pinned tail-call graph,
+    /// range/branch counts, previous-epoch probe weights, and the context
+    /// profile (as a nested [`crate::binprof`] payload). The encoding is
+    /// canonical: restoring and re-snapshotting yields byte-identical
+    /// output.
+    pub fn snapshot_as(&self, _format: SnapshotFormat) -> Vec<u8> {
         let mut buf = binprof::header(Kind::StreamSnapshot);
 
         let mut meta = Vec::new();
@@ -790,9 +536,8 @@ impl<'b> StreamAggregator<'b> {
         if let Some(g) = &self.tail_graph {
             let mut edges: Vec<(u32, u32, usize)> = g.edges().collect();
             edges.sort_unstable();
-            // An edgeless pinned graph is indistinguishable from "no graph"
-            // in the text snapshot; mirror that so the formats stay
-            // losslessly interchangeable.
+            // An edgeless pinned graph unwinds exactly like no graph, so it
+            // is not written; restore maps the absent section to `None`.
             if !edges.is_empty() {
                 let mut sec = Vec::new();
                 put_uvarint(&mut sec, edges.len() as u64);
@@ -805,7 +550,7 @@ impl<'b> StreamAggregator<'b> {
             }
         }
 
-        let counts_section = |map: &std::collections::HashMap<(usize, usize), u64>| {
+        let counts_section = |map: &HashMap<(usize, usize), u64>| {
             let mut entries: Vec<((usize, usize), u64)> =
                 map.iter().map(|(&k, &v)| (k, v)).collect();
             entries.sort_unstable();
@@ -852,14 +597,22 @@ impl<'b> StreamAggregator<'b> {
         buf
     }
 
-    /// Rebuilds an aggregator from a binary snapshot payload.
+    /// Rebuilds an aggregator from a [`Self::snapshot_as`] payload, ready
+    /// to resume folding epochs where the snapshot left off.
+    ///
+    /// Every instruction index in the payload is checked against `binary`
+    /// while it is decoded: ranges must satisfy `begin ≤ end < len` inside
+    /// one function (the [`RangeCounts::add_lbr`] invariant), branch
+    /// endpoints and tail-call sites must be `< len`. A payload that
+    /// breaks any of these is rejected, so a restored aggregator never
+    /// indexes past the binary later.
     ///
     /// # Errors
     ///
-    /// Returns [`PipelineError::Decode`] when the payload is malformed and
-    /// [`PipelineError::Stream`] when it was taken against a different
-    /// binary build.
-    fn restore_binary(
+    /// Returns [`PipelineError::Decode`] when the payload lacks the
+    /// binprof magic or is malformed, and [`PipelineError::Stream`] when it
+    /// was taken against a different binary build.
+    pub fn restore_from(
         binary: &'b Binary,
         config: StreamConfig,
         ingest_shards: usize,
@@ -869,6 +622,7 @@ impl<'b> StreamAggregator<'b> {
         let mut r = binprof::check_header(bytes, Kind::StreamSnapshot)?;
         let sections = binprof::read_sections(&mut r)?;
         let find = |tag: u8| sections.iter().find(|(t, _)| *t == tag).map(|(_, p)| *p);
+        let len = binary.len() as u64;
 
         let mut agg = Self::build(binary, config, ingest_shards, None);
 
@@ -893,38 +647,56 @@ impl<'b> StreamAggregator<'b> {
                     .map_err(|_| DecodeError::Corrupt("tail-graph caller overflow"))?;
                 let callee = u32::try_from(gr.uvarint()?)
                     .map_err(|_| DecodeError::Corrupt("tail-graph callee overflow"))?;
-                let inst = gr.uvarint()? as usize;
-                graph.insert_edge(caller, callee, inst);
+                let inst = gr.uvarint()?;
+                if inst >= len {
+                    return Err(DecodeError::Corrupt("tail-graph call site out of range").into());
+                }
+                graph.insert_edge(caller, callee, inst as usize);
             }
             if n > 0 {
                 agg.tail_graph = Some(graph);
             }
         }
 
-        type PairCounts = Vec<((usize, usize), u64)>;
-        let read_counts = |payload: &[u8]| -> Result<PairCounts, DecodeError> {
+        /// Decodes one delta-coded `(a, b) → count` section straight into
+        /// `map`, rejecting any pair `valid` refuses.
+        fn read_counts(
+            payload: &[u8],
+            map: &mut HashMap<(usize, usize), u64>,
+            valid: impl Fn(u64, u64) -> bool,
+            invalid: &'static str,
+        ) -> Result<(), DecodeError> {
             let mut cr = binprof::Reader::new(payload);
             let n = cr.uvarint()?;
-            let mut out = Vec::new();
             let mut prev = 0u64;
             for _ in 0..n {
                 let a = prev.wrapping_add(cr.uvarint()?);
                 let b = cr.uvarint()?;
                 let c = cr.uvarint()?;
-                out.push(((a as usize, b as usize), c));
+                if !valid(a, b) {
+                    return Err(DecodeError::Corrupt(invalid));
+                }
+                map.insert((a as usize, b as usize), c);
                 prev = a;
             }
-            Ok(out)
-        };
+            Ok(())
+        }
         if let Some(sec) = find(binprof::section::STREAM_RANGES) {
-            for (k, v) in read_counts(sec)? {
-                agg.rc.ranges.insert(k, v);
-            }
+            let in_one_function = |begin: u64, end: u64| {
+                begin <= end
+                    && end < len
+                    && binary.func_of[begin as usize] == binary.func_of[end as usize]
+            };
+            read_counts(
+                sec,
+                &mut agg.rc.ranges,
+                in_one_function,
+                "range out of bounds",
+            )?;
         }
         if let Some(sec) = find(binprof::section::STREAM_BRANCHES) {
-            for (k, v) in read_counts(sec)? {
-                agg.rc.branches.insert(k, v);
-            }
+            let in_binary = |from: u64, to: u64| from < len && to < len;
+            read_counts(sec, &mut agg.rc.branches, in_binary, "branch out of bounds")?;
         }
 
         if let Some(sec) = find(binprof::section::STREAM_WEIGHTS) {
@@ -954,6 +726,7 @@ impl<'b> StreamAggregator<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::textprof;
     use crate::unwind::Unwinder;
     use csspgo_codegen::{lower_module, CodegenConfig};
     use csspgo_sim::{Machine, SimConfig};
@@ -1112,7 +885,7 @@ fn serve(n, mode) {
             StreamAggregator::with_tail_graph(&b, StreamConfig::default(), 2, graph.clone());
         agg.push_batch(samples[..cut].to_vec()).unwrap();
         agg.seal_epoch();
-        let snap = agg.snapshot_as(SnapshotFormat::Text);
+        let snap = agg.snapshot_as(SnapshotFormat::Binary);
 
         let mut resumed =
             StreamAggregator::restore_from(&b, StreamConfig::default(), 2, &snap).unwrap();
@@ -1124,89 +897,15 @@ fn serve(n, mode) {
         assert_eq!(resumed.context_profile(), &profile_ref);
         assert_eq!(resumed.range_counts(), &rc_ref);
 
-        // A second snapshot of untouched state is byte-identical.
+        // Canonical: restore → re-snapshot is byte-identical.
         let resnap = StreamAggregator::restore_from(&b, StreamConfig::default(), 2, &snap)
             .unwrap()
-            .snapshot_as(SnapshotFormat::Text);
+            .snapshot_as(SnapshotFormat::Binary);
         assert_eq!(snap, resnap);
     }
 
     #[test]
-    fn binary_snapshot_roundtrips_and_matches_text_restore() {
-        let b = probed_binary();
-        let samples = traffic(&b, &[(2600, 1), (2400, 2)]);
-        let graph = calibration_graph(&b, &samples);
-        let (rc_ref, profile_ref) = batch_reference(&b, &graph, &samples);
-
-        let cut = samples.len() / 3;
-        let mut agg =
-            StreamAggregator::with_tail_graph(&b, StreamConfig::default(), 2, graph.clone());
-        agg.push_batch(samples[..cut].to_vec()).unwrap();
-        agg.seal_epoch();
-
-        let text = agg.snapshot_as(SnapshotFormat::Text);
-        let bin = agg.snapshot_as(SnapshotFormat::Binary);
-        assert!(
-            bin.len() < text.len(),
-            "binary snapshot ({}) should be smaller than text ({})",
-            bin.len(),
-            text.len()
-        );
-
-        // restore_from sniffs the binprof magic and resumes exactly like
-        // the text restore.
-        let mut resumed =
-            StreamAggregator::restore_from(&b, StreamConfig::default(), 2, &bin).unwrap();
-        assert_eq!(resumed.epochs_sealed(), 1);
-        assert_eq!(resumed.total_samples(), cut as u64);
-        resumed.push_batch(samples[cut..].to_vec()).unwrap();
-        resumed.seal_epoch();
-        assert_eq!(resumed.context_profile(), &profile_ref);
-        assert_eq!(resumed.range_counts(), &rc_ref);
-
-        // Both formats restore to the same state: text-restored and
-        // binary-restored aggregators re-emit identical binary snapshots.
-        let from_text =
-            StreamAggregator::restore_from(&b, StreamConfig::default(), 2, &text).unwrap();
-        assert_eq!(from_text.snapshot_as(SnapshotFormat::Binary), bin);
-
-        // Canonical: restore → re-snapshot is byte-identical.
-        let resnap = StreamAggregator::restore_from(&b, StreamConfig::default(), 2, &bin)
-            .unwrap()
-            .snapshot_as(SnapshotFormat::Binary);
-        assert_eq!(resnap, bin);
-    }
-
-    #[test]
-    fn snapshot_format_parses_and_displays() {
-        assert_eq!("text".parse::<SnapshotFormat>(), Ok(SnapshotFormat::Text));
-        assert_eq!(
-            "BINARY".parse::<SnapshotFormat>(),
-            Ok(SnapshotFormat::Binary)
-        );
-        assert_eq!(SnapshotFormat::Text.to_string(), "text");
-        assert_eq!(SnapshotFormat::Binary.to_string(), "binary");
-        let err = "yaml".parse::<SnapshotFormat>().unwrap_err();
-        assert!(err.contains("yaml"), "{err}");
-    }
-
-    #[test]
-    fn restore_from_rejects_untagged_binary_garbage() {
-        let b = probed_binary();
-        // Neither binprof magic nor UTF-8 text: a distinct Stream error.
-        let err = StreamAggregator::restore_from(&b, StreamConfig::default(), 1, &[0xff, 0xfe])
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::Stream(_)), "{err}");
-        // Magic-prefixed garbage routes to the binary decoder.
-        let mut bytes = binprof::MAGIC.to_vec();
-        bytes.extend_from_slice(b"nonsense");
-        let err =
-            StreamAggregator::restore_from(&b, StreamConfig::default(), 1, &bytes).unwrap_err();
-        assert!(matches!(err, PipelineError::Decode(_)), "{err}");
-    }
-
-    #[test]
-    fn binary_restore_rejects_wrong_binary_and_garbage() {
+    fn restore_rejects_wrong_binary_and_garbage() {
         let b = probed_binary();
         let samples = traffic(&b, &[(1200, 1)]);
         let mut agg = StreamAggregator::new(&b, StreamConfig::default(), 1);
@@ -1223,9 +922,7 @@ fn serve(n, mode) {
             StreamAggregator::restore_from(&other, StreamConfig::default(), 1, &bin).unwrap_err();
         assert!(matches!(err, PipelineError::Stream(_)), "{err}");
 
-        // Truncation anywhere must error, never panic. (Cuts shorter than
-        // the magic sniff as text and still error; longer ones hit the
-        // binary decoder.)
+        // Truncation anywhere must error, never panic.
         for cut in [0, 5, 11, bin.len() / 2, bin.len() - 1] {
             assert!(
                 StreamAggregator::restore_from(&b, StreamConfig::default(), 1, &bin[..cut])
@@ -1233,29 +930,16 @@ fn serve(n, mode) {
                 "cut at {cut}"
             );
         }
-    }
 
-    #[test]
-    fn restore_rejects_wrong_binary_and_garbage() {
-        let b = probed_binary();
-        let samples = traffic(&b, &[(1200, 1)]);
-        let mut agg = StreamAggregator::new(&b, StreamConfig::default(), 1);
-        agg.push_batch(samples).unwrap();
-        agg.seal_epoch();
-        let snap = agg.snapshot_as(SnapshotFormat::Text);
-
-        let mut m2 =
-            csspgo_lang::compile("fn serve(n, mode) { return n + mode; }", "other").unwrap();
-        csspgo_opt::discriminators::run(&mut m2);
-        csspgo_opt::probes::run(&mut m2);
-        let other = lower_module(&m2, &CodegenConfig::default());
-        let err =
-            StreamAggregator::restore_from(&other, StreamConfig::default(), 1, &snap).unwrap_err();
-        assert!(matches!(err, PipelineError::Stream(_)), "{err}");
-
-        let err = StreamAggregator::restore_from(&b, StreamConfig::default(), 1, b"nonsense")
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::Stream(_)), "{err}");
+        // Payloads without the binprof magic, and magic-prefixed garbage,
+        // are decode errors.
+        let mut magic_garbage = binprof::MAGIC.to_vec();
+        magic_garbage.extend_from_slice(b"nonsense");
+        for bytes in [&b"nonsense"[..], &[0xff, 0xfe], &magic_garbage] {
+            let err =
+                StreamAggregator::restore_from(&b, StreamConfig::default(), 1, bytes).unwrap_err();
+            assert!(matches!(err, PipelineError::Decode(_)), "{err}");
+        }
     }
 
     #[test]

@@ -426,29 +426,6 @@ pub fn write_probe_json(profile: &ProbeProfile) -> String {
     serde_json::to_string_pretty(profile).expect("probe profiles are serializable")
 }
 
-/// Splits a stream-snapshot text (see
-/// [`crate::stream::StreamAggregator::snapshot`]) at its `!context`
-/// marker: the header/section lines before the marker, and the context
-/// section body after it. Returns `None` when the marker is missing.
-///
-/// Shared by snapshot restore and by offline consumers (`csspgo_diff`)
-/// that only need the embedded context profile.
-pub fn split_snapshot_context(text: &str) -> Option<(&str, &str)> {
-    let mut offset = 0usize;
-    for line in text.lines() {
-        let raw_len = line.len() + 1;
-        if line.trim() == "!context" {
-            // A snapshot truncated right at the marker has no trailing
-            // newline, putting the body start one past the end: that is an
-            // empty context section, not an out-of-bounds slice.
-            let body = text.get(offset + raw_len..).unwrap_or("");
-            return Some((&text[..offset], body));
-        }
-        offset += raw_len;
-    }
-    None
-}
-
 /// Parses a probe profile from JSON.
 ///
 /// # Errors
@@ -469,19 +446,6 @@ pub fn probe_profile_nodes(profile: &ProbeProfile) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_context_splits_at_marker() {
-        let text = "# header\n!ranges\n1 2 3\n!context\n[main]:10:1\n 1: 10\n";
-        let (head, ctx) = split_snapshot_context(text).unwrap();
-        assert!(head.contains("!ranges"));
-        assert!(!head.contains("!context"));
-        assert!(ctx.starts_with("[main]"));
-        // Marker with nothing after it: empty context, not a panic.
-        let (_, ctx) = split_snapshot_context("# h\n!context").unwrap();
-        assert_eq!(ctx, "");
-        assert!(split_snapshot_context("# no marker\n").is_none());
-    }
 
     fn sample_flat() -> FlatProfile {
         let mut p = FlatProfile::default();

@@ -57,7 +57,7 @@ pub fn compress_cycles(path: &mut Vec<FrameKey>) {
 /// path as a borrowed slice (valid only for the duration of the call) plus
 /// the sample multiplicity `count`, so implementations that aggregate
 /// (profile tries) never force a per-hit allocation.
-pub trait HitSink {
+trait HitSink {
     /// Probe `index` of `owner` executed `count` times under `path`.
     fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64);
     /// `count` calls entered `owner` under `path`.
@@ -70,35 +70,6 @@ impl HitSink for ContextProfile {
     }
     fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
         self.add_entry(path, owner, count);
-    }
-}
-
-impl HitSink for ContextTrieBuilder {
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64) {
-        self.add_probe_hit(path, owner, index, count);
-    }
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
-        self.add_entry(path, owner, count);
-    }
-}
-
-/// Materializing sink behind [`Unwinder::unwind`]; weight-1 only (the
-/// [`Hit`] value carries no count).
-impl HitSink for Vec<Hit> {
-    fn probe(&mut self, path: &[FrameKey], owner: u64, index: u32, count: u64) {
-        debug_assert_eq!(count, 1, "Vec<Hit> sink is for unweighted unwinding");
-        self.push(Hit::Probe {
-            path: path.to_vec(),
-            owner,
-            index,
-        });
-    }
-    fn entry(&mut self, path: &[FrameKey], owner: u64, count: u64) {
-        debug_assert_eq!(count, 1, "Vec<Hit> sink is for unweighted unwinding");
-        self.push(Hit::Entry {
-            path: path.to_vec(),
-            owner,
-        });
     }
 }
 
@@ -147,9 +118,9 @@ fn entry_context(max_context_depth: usize, ctx: &[FrameKey], path: &mut Vec<Fram
     }
 }
 
-/// How the unwind loop materializes attributions: either streamed through
-/// a generic [`HitSink`] per hit, or replayed through the range-attribution
-/// memo of the batched kernel. The two must stay observably identical —
+/// How the unwind loop materializes attributions: either added to a
+/// [`ContextProfile`] hit by hit (the reference), or replayed through the
+/// range-attribution memo of the batched kernel. The two must stay observably identical —
 /// `tests/proptest_kernel.rs` pins bit-identity of the resulting profiles.
 trait Emit {
     /// Every probe in `[begin, end]` executed `weight` times under `ctx`.
@@ -180,11 +151,11 @@ trait Emit {
     );
 }
 
-/// The streaming emitter: assemble each hit's path and hand it straight to
-/// the sink.
-struct SinkEmit<'s, S: HitSink>(&'s mut S);
+/// The reference emitter: assemble each hit's path and add it straight to
+/// the profile.
+struct SinkEmit<'s>(&'s mut ContextProfile);
 
-impl<S: HitSink> Emit for SinkEmit<'_, S> {
+impl Emit for SinkEmit<'_> {
     fn range(
         &mut self,
         binary: &Binary,
@@ -464,19 +435,6 @@ pub struct Unwinder<'b> {
     addr_index: AddrIndex,
 }
 
-/// One attribution produced by unwinding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Hit {
-    /// Probe `index` of function `owner` executed under `path`.
-    Probe {
-        path: Vec<FrameKey>,
-        owner: u64,
-        index: u32,
-    },
-    /// A call entered function `owner` under `path`.
-    Entry { path: Vec<FrameKey>, owner: u64 },
-}
-
 impl<'b> Unwinder<'b> {
     /// Creates an unwinder; pass a tail-call graph to enable missing-frame
     /// inference.
@@ -628,26 +586,6 @@ impl<'b> Unwinder<'b> {
         true
     }
 
-    /// Unwinds one sample into probe/entry hits (the allocation-per-hit
-    /// reference API; the aggregation paths use [`Unwinder::unwind_each`]).
-    pub fn unwind(&mut self, sample: &Sample) -> Vec<Hit> {
-        let mut hits = Vec::new();
-        self.unwind_each(sample, 1, &mut hits);
-        hits
-    }
-
-    /// Unwinds one sample observed `weight` times, streaming every hit into
-    /// `sink` with multiplicity `weight`. All diagnostic counters scale by
-    /// `weight`, so unwinding a deduplicated `(sample, count)` batch leaves
-    /// the unwinder in exactly the state `count` repeats would have.
-    pub fn unwind_each(&mut self, sample: &Sample, weight: u64, sink: &mut impl HitSink) {
-        // The scratch set steps out of `self` for the duration so the
-        // borrow checker can see its buffers and `&self` lookups disjointly.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.unwind_with_scratch(sample, weight, &mut SinkEmit(sink), &mut scratch);
-        self.scratch = scratch;
-    }
-
     fn unwind_with_scratch(
         &mut self,
         sample: &Sample,
@@ -775,12 +713,20 @@ impl<'b> Unwinder<'b> {
         }
     }
 
-    /// Unwinds a batch of samples straight into a context profile, reusing
-    /// one scratch-buffer set across the whole batch.
+    /// The sequential reference unwinder: every sample is unwound on its
+    /// own and each hit is added to `profile` as it is produced, with no
+    /// dedup or memoization. Production ingestion goes through
+    /// [`crate::shard::sharded_context_profile`] (over
+    /// [`Unwinder::unwind_batched`]); this stays public only as the oracle
+    /// the kernel, shard and stream tests compare that fast path against.
     pub fn unwind_into(&mut self, samples: &[Sample], profile: &mut ContextProfile) {
+        // The scratch set steps out of `self` for the duration so the
+        // borrow checker can see its buffers and `&self` lookups disjointly.
+        let mut scratch = std::mem::take(&mut self.scratch);
         for s in samples {
-            self.unwind_each(s, 1, profile);
+            self.unwind_with_scratch(s, 1, &mut SinkEmit(profile), &mut scratch);
         }
+        self.scratch = scratch;
     }
 
     /// The fast correlation path: pre-aggregates identical samples so each

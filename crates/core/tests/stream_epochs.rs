@@ -223,7 +223,7 @@ proptest! {
         agg.push_batch(samples[..cut].to_vec()).unwrap();
         agg.seal_epoch();
 
-        let snap = agg.snapshot_as(SnapshotFormat::Text);
+        let snap = agg.snapshot_as(SnapshotFormat::Binary);
         let mut resumed =
             StreamAggregator::restore_from(&binary, StreamConfig::default(), shards, &snap)
                 .unwrap();
@@ -238,37 +238,95 @@ proptest! {
     }
 }
 
-/// Regression: a snapshot truncated *exactly* at the `!context` marker (no
-/// trailing newline) used to make `restore` index one byte past the end of
-/// the text and panic. A fresh aggregator's context section is legitimately
-/// empty, so such a snapshot must restore cleanly instead.
+/// A call chain with a tail call (`hop` → `leaf`), so snapshots of its
+/// traffic carry a pinned tail-call graph.
+const TAIL_SRC: &str = r#"
+fn leaf(x) {
+    let i = 0;
+    while (i < x % 7 + 2) { i = i + 1; }
+    return i;
+}
+fn hop(x) { return leaf(x + 1); }
+fn main(n) {
+    let i = 0;
+    let s = 0;
+    while (i < n) {
+        s = s + hop(i);
+        i = i + 1;
+    }
+    return s;
+}
+"#;
+
+/// Every truncation and every single-bit flip of a binary stream snapshot
+/// must either fail to restore, or restore an aggregator that survives
+/// finalization, instruction-count derivation and one more epoch. Indices
+/// read back from the payload (ranges, branch endpoints, tail-call sites)
+/// are checked on restore, never trusted to index the binary later.
 #[test]
-fn restore_survives_snapshot_truncated_at_context_marker() {
-    let binary = probed_binary();
-    let agg = StreamAggregator::new(&binary, StreamConfig::default(), 1);
-    let snap = String::from_utf8(agg.snapshot_as(SnapshotFormat::Text)).unwrap();
-
-    let cut = snap.find("!context").unwrap() + "!context".len();
-    let truncated = &snap.as_bytes()[..cut];
-    let restored = StreamAggregator::restore_from(&binary, StreamConfig::default(), 1, truncated)
-        .expect("truncation at the marker leaves a valid, empty context section");
-    assert_eq!(restored.total_samples(), 0);
-    assert_eq!(restored.context_profile().roots.len(), 0);
-
-    // Truncating *before* the marker loses the section entirely and must
-    // stay a structured error, not a panic.
-    let cut = snap.find("!context").unwrap();
-    let err = match StreamAggregator::restore_from(
+fn mutated_binary_snapshots_error_or_restore_usable_state() {
+    let mut m = csspgo_lang::compile(TAIL_SRC, "tailsnap").unwrap();
+    csspgo_opt::discriminators::run(&mut m);
+    csspgo_opt::probes::run(&mut m);
+    let binary = lower_module(&m, &CodegenConfig::default());
+    let mut machine = Machine::new(
         &binary,
-        StreamConfig::default(),
-        1,
-        &snap.as_bytes()[..cut],
-    ) {
-        Ok(_) => panic!("missing !context section must be an error"),
-        Err(e) => e,
-    };
+        SimConfig {
+            sample_period: 29,
+            ..SimConfig::default()
+        },
+    );
+    machine.call("main", &[120]).unwrap();
+    let first = machine.take_samples();
+    machine.call("main", &[90]).unwrap();
+    let second = machine.take_samples();
+
+    let mut rc = RangeCounts::default();
+    rc.add_samples(&binary, &first);
+    let graph = TailCallGraph::build(&binary, &rc);
     assert!(
-        err.to_string().contains("context"),
-        "error should name the missing section: {err}"
+        graph.edge_count() > 0,
+        "snapshot must pin a tail-call graph"
+    );
+    let mut agg = StreamAggregator::with_tail_graph(&binary, StreamConfig::default(), 1, graph);
+    agg.push_batch(first).unwrap();
+    agg.seal_epoch();
+    let snap = agg.snapshot_as(SnapshotFormat::Binary);
+
+    let survives = |bytes: &[u8]| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Ok(mut restored) =
+                StreamAggregator::restore_from(&binary, StreamConfig::default(), 1, bytes)
+            {
+                restored.to_probe_profile(0);
+                restored.range_counts().inst_counts(&binary);
+                restored.push_batch(second.clone()).unwrap();
+                restored.seal_epoch();
+            }
+        }))
+        .is_ok()
+    };
+    let mut panicked = Vec::new();
+    for cut in 0..snap.len() {
+        if !survives(&snap[..cut]) {
+            panicked.push(format!("truncated to {cut} bytes"));
+        }
+    }
+    for byte in 0..snap.len() {
+        for bit in 0..8 {
+            let mut mutated = snap.clone();
+            mutated[byte] ^= 1 << bit;
+            if !survives(&mutated) {
+                panicked.push(format!("bit {bit} of byte {byte} flipped"));
+            }
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "{} of {} mutations of a {}-byte snapshot panicked, e.g. {:?}",
+        panicked.len(),
+        snap.len() * 9,
+        snap.len(),
+        &panicked[..panicked.len().min(5)]
     );
 }

@@ -11,8 +11,8 @@ use csspgo::codegen::{lower_module, CodegenConfig};
 use csspgo::core::context::{ContextNode, ContextProfile};
 use csspgo::core::preinline::{run_preinliner, PreInlineConfig};
 use csspgo::core::ranges::RangeCounts;
+use csspgo::core::shard::sharded_context_profile;
 use csspgo::core::tailcall::TailCallGraph;
-use csspgo::core::unwind::Unwinder;
 use csspgo::sim::{Machine, SimConfig};
 
 const SRC: &str = r#"
@@ -92,9 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rc = RangeCounts::default();
     rc.add_samples(&binary, &samples);
     let graph = TailCallGraph::build(&binary, &rc);
-    let mut profile = ContextProfile::new();
-    let mut unwinder = Unwinder::new(&binary, Some(&graph));
-    unwinder.unwind_into(&samples, &mut profile);
+    let mut profile = sharded_context_profile(&binary, Some(&graph), &samples, 0).profile;
     for f in &binary.funcs {
         profile.names.insert(f.guid, f.name.clone());
     }

@@ -7,12 +7,11 @@
 //! ```
 
 use csspgo::codegen::{lower_module, CodegenConfig};
-use csspgo::core::context::ContextProfile;
 use csspgo::core::correlate::dwarf_profile;
 use csspgo::core::ranges::RangeCounts;
+use csspgo::core::shard::sharded_context_profile;
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::textprof;
-use csspgo::core::unwind::Unwinder;
 use csspgo::sim::{Machine, SimConfig};
 
 const SRC: &str = r#"
@@ -62,9 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- CSSPGO context profile ---
     let graph = TailCallGraph::build(&binary, &rc);
-    let mut ctx = ContextProfile::new();
-    let mut unwinder = Unwinder::new(&binary, Some(&graph));
-    unwinder.unwind_into(&samples, &mut ctx);
+    let mut ctx = sharded_context_profile(&binary, Some(&graph), &samples, 0).profile;
     for f in &binary.funcs {
         ctx.names.insert(f.guid, f.name.clone());
     }

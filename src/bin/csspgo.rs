@@ -14,13 +14,12 @@
 //! [`csspgo::core::textprof`].
 
 use csspgo::codegen::{lower_module, Binary, CodegenConfig};
-use csspgo::core::context::ContextProfile;
 use csspgo::core::correlate::{dwarf_profile, probe_profile};
 use csspgo::core::pipeline::{run_pgo_cycle, PgoVariant, PipelineConfig};
 use csspgo::core::ranges::RangeCounts;
+use csspgo::core::shard::sharded_context_profile;
 use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::textprof;
-use csspgo::core::unwind::Unwinder;
 use csspgo::core::Workload;
 use csspgo::sim::{Machine, Sample, SimConfig};
 use std::process::ExitCode;
@@ -197,9 +196,7 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
         "probe" => textprof::write_probe_json(&probe_profile(&binary, &rc)),
         "context" => {
             let graph = TailCallGraph::build(&binary, &rc);
-            let mut profile = ContextProfile::new();
-            let mut unwinder = Unwinder::new(&binary, Some(&graph));
-            unwinder.unwind_into(&samples, &mut profile);
+            let mut profile = sharded_context_profile(&binary, Some(&graph), &samples, 0).profile;
             for f in &binary.funcs {
                 profile.names.insert(f.guid, f.name.clone());
             }

@@ -18,9 +18,9 @@
 //!   release against the *release-0* profile — the match-quality decay
 //!   curve a never-refreshed profile suffers across a release train
 //!   (the static-analysis companion to the `release_train` bench).
-//! * **File mode** (`--profile` + `--source`): match a saved profile — a
-//!   probe-profile JSON or a `csspgo-stream-snapshot` text — against a
-//!   freshly compiled source file.
+//! * **File mode** (`--profile` + `--source`): match a saved probe-profile
+//!   JSON (`csspgo profgen --format probe`) against a freshly compiled
+//!   source file.
 //!
 //! ```text
 //! csspgo_diff --json diff-report.json
@@ -73,7 +73,7 @@ USAGE:
   csspgo_diff [--workload <name>] [--scenario <name,...>] [--scale <f>]
               [--deny <lint,...|all>] [--allow <lint,...|all>] [--json <file>]
   csspgo_diff --train <n> [--workload <name>] [--scale <f>] [--json <file>]
-  csspgo_diff --profile <probe.json|snapshot.txt> --source <file> [--json <file>]
+  csspgo_diff --profile <probe.json> --source <file> [--json <file>]
 
 Scenarios: insert_comments, insert_body_comments, change_cfg, rename.
 Default runs every scenario over every shipped workload at --scale 0.05.
@@ -356,18 +356,10 @@ fn collect_probe_profile(workload: &Workload) -> Result<ProbeProfile, String> {
     Ok(probe_prof)
 }
 
-/// Loads a saved profile: probe-profile JSON, or the context section of a
-/// stream snapshot.
+/// Loads a saved probe-profile JSON.
 fn load_profile(path: &str) -> Result<ProbeProfile, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if text.starts_with("# csspgo-stream-snapshot") {
-        let (_, ctx) = textprof::split_snapshot_context(&text)
-            .ok_or_else(|| format!("{path}: snapshot has no !context section"))?;
-        let ctx_profile = textprof::parse_context(ctx).map_err(|e| e.to_string())?;
-        Ok(ctx_profile.to_probe_profile())
-    } else {
-        textprof::parse_probe_json(&text).map_err(|e| e.to_string())
-    }
+    textprof::parse_probe_json(&text).map_err(|e| e.to_string())
 }
 
 /// One line per scenario: the quality headline plus where the recovered

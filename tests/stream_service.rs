@@ -1,12 +1,8 @@
-//! Integration tests for the streaming service surface: the unified
-//! [`run_pgo_cycle_with`] entry point accepting either profile source, and
-//! the drift-detection → recompilation hook that keeps a continuously
-//! served profile fresh.
+//! Integration test for the streaming service surface: the
+//! drift-detection → recompilation hook that keeps a continuously served
+//! profile fresh.
 
-use csspgo::core::pipeline::{
-    run_pgo_cycle, run_pgo_cycle_drifted, run_pgo_cycle_with, BatchSource, EpochSource, PgoVariant,
-    PipelineConfig,
-};
+use csspgo::core::pipeline::{run_pgo_cycle, run_pgo_cycle_drifted, PgoVariant, PipelineConfig};
 use csspgo::core::stream::{StreamAggregator, StreamConfig};
 use csspgo::sim::{Machine, SimConfig};
 use csspgo::workloads::drift;
@@ -16,41 +12,6 @@ fn cfg() -> PipelineConfig {
         .sample_period(89)
         .build()
         .expect("valid test config")
-}
-
-#[test]
-fn epoch_source_reproduces_batch_cycle_on_real_workload() {
-    let w = csspgo::workloads::ad_finder().scaled(0.2);
-    let cfg = cfg();
-    let batch = run_pgo_cycle(&w, PgoVariant::CsspgoFull, &cfg).unwrap();
-    let mut epochs = EpochSource::new(1);
-    let streamed =
-        run_pgo_cycle_with(&w, PgoVariant::CsspgoFull, &cfg, &mut epochs, &w.source).unwrap();
-
-    assert!(
-        epochs.batch_sizes.len() > 1,
-        "traffic must actually arrive in multiple epochs"
-    );
-    assert_eq!(batch.eval_result_hash, streamed.eval_result_hash);
-    assert_eq!(batch.eval.cycles, streamed.eval.cycles);
-    assert_eq!(batch.sections.text, streamed.sections.text);
-    assert_eq!(batch.profiling.samples, streamed.profiling.samples);
-    assert_eq!(batch.plan_len, streamed.plan_len);
-    assert_eq!(
-        batch.context_nodes_after_trim,
-        streamed.context_nodes_after_trim
-    );
-}
-
-#[test]
-fn batch_source_is_the_classic_entry_point() {
-    let w = csspgo::workloads::ad_finder().scaled(0.2);
-    let cfg = cfg();
-    let via_wrapper = run_pgo_cycle(&w, PgoVariant::AutoFdo, &cfg).unwrap();
-    let via_unified =
-        run_pgo_cycle_with(&w, PgoVariant::AutoFdo, &cfg, &mut BatchSource, &w.source).unwrap();
-    assert_eq!(via_wrapper.eval_result_hash, via_unified.eval_result_hash);
-    assert_eq!(via_wrapper.eval.cycles, via_unified.eval.cycles);
 }
 
 /// The full continuous-serving story: steady traffic folds cleanly, a
