@@ -7,7 +7,7 @@
 //! regular profile, without losing its benefit."
 
 use csspgo_bench::{experiment_config, improvement_pct, traffic_scale};
-use csspgo_core::pipeline::{run_pgo_cycle, PgoVariant};
+use csspgo_core::pipeline::{profiling_build, profiling_run, run_pgo_cycle, PgoVariant};
 
 /// Entries in a flat probe profile (function profiles plus nested call-site
 /// sub-profiles) — the size proxy matching the trie's node count.
@@ -26,26 +26,9 @@ fn main() {
     // Build the context-insensitive (probe-only) profile size baseline.
     let flat_funcs = {
         use csspgo_core::{correlate::probe_profile, ranges::RangeCounts};
-        use csspgo_sim::{Machine, SimConfig};
-        let mut m = csspgo_lang::compile(&w.source, &w.name).expect("compiles");
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
-        csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-        let b = csspgo_codegen::lower_module(&m, &cfg.codegen);
-        let mut machine = Machine::new(
-            &b,
-            SimConfig {
-                sample_period: cfg.sample_period,
-                ..SimConfig::default()
-            },
-        );
-        for (n, v) in &w.setup {
-            machine.set_global(n, v);
-        }
-        for args in &w.train_calls {
-            machine.call(&w.entry, args).expect("runs");
-        }
-        let samples = machine.take_samples();
+        let probe = PgoVariant::CsspgoProbeOnly;
+        let (b, _) = profiling_build(&w.source, &w.name, probe, &cfg).expect("compiles");
+        let samples = profiling_run(&b, &w, probe, &cfg).expect("runs").samples;
         let mut rc = RangeCounts::default();
         rc.add_samples(&b, &samples);
         flat_profile_nodes(&probe_profile(&b, &rc))

@@ -11,12 +11,10 @@
 //! and end-to-end CSSPGO performance suffers.
 
 use csspgo_bench::{experiment_config, improvement_pct, traffic_scale};
-use csspgo_codegen::lower_module;
-use csspgo_core::pipeline::{run_pgo_cycle, PgoVariant};
+use csspgo_core::pipeline::{profiling_build, profiling_run, run_pgo_cycle, PgoVariant};
 use csspgo_core::ranges::RangeCounts;
 use csspgo_core::shard::sharded_context_profile;
 use csspgo_core::tailcall::TailCallGraph;
-use csspgo_sim::{Machine, SimConfig};
 
 fn main() {
     let mut cfg = experiment_config();
@@ -32,27 +30,10 @@ fn main() {
     println!("|---|---|---|---|---|");
     for pebs in [true, false] {
         cfg.pebs = pebs;
-        // Direct unwinder statistics on the probed profiling binary.
-        let mut m = csspgo_lang::compile(&w.source, &w.name).expect("compiles");
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
-        csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-        let b = lower_module(&m, &cfg.codegen);
-        let mut machine = Machine::new(
-            &b,
-            SimConfig {
-                sample_period: cfg.sample_period,
-                pebs,
-                ..SimConfig::default()
-            },
-        );
-        for (n, v) in &w.setup {
-            machine.set_global(n, v);
-        }
-        for args in &w.train_calls {
-            machine.call(&w.entry, args).expect("runs");
-        }
-        let samples = machine.take_samples();
+        // Direct unwinder statistics on the full-CSSPGO profiling run.
+        let full = PgoVariant::CsspgoFull;
+        let (b, _) = profiling_build(&w.source, &w.name, full, &cfg).expect("compiles");
+        let samples = profiling_run(&b, &w, full, &cfg).expect("runs").samples;
         let mut rc = RangeCounts::default();
         rc.add_samples(&b, &samples);
         let graph = TailCallGraph::build(&b, &rc);

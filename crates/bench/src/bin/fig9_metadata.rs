@@ -7,7 +7,7 @@
 //! at run time.
 
 use csspgo_bench::{experiment_config, traffic_scale};
-use csspgo_codegen::lower_module;
+use csspgo_core::pipeline::{profiling_build, PgoVariant};
 
 fn main() {
     let cfg = experiment_config();
@@ -20,11 +20,8 @@ fn main() {
     println!("|---|---|---|---|---|---|");
     let mut probe_pcts = Vec::new();
     for w in csspgo_workloads::server_workloads() {
-        let mut m = csspgo_lang::compile(&w.source, &w.name).expect("compiles");
-        csspgo_opt::discriminators::run(&mut m);
-        csspgo_opt::probes::run(&mut m);
-        csspgo_opt::run_pipeline(&mut m, &cfg.opt);
-        let b = lower_module(&m, &cfg.codegen);
+        let (b, _) = profiling_build(&w.source, &w.name, PgoVariant::CsspgoProbeOnly, &cfg)
+            .expect("compiles");
         let s = b.sections;
         let total = s.total() as f64;
         let probe_pct = s.pseudo_probe as f64 / total * 100.0;

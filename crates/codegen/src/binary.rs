@@ -1,9 +1,11 @@
 //! The binary image: flat machine code with addresses, symbols, debug-line
 //! metadata and the pseudo-probe metadata section.
 
-use crate::minst::MInst;
-use csspgo_ir::{FuncId, Global};
+use crate::minst::{MInst, MInstKind};
+use csspgo_ir::inst::Operand;
+use csspgo_ir::{FuncId, Global, VReg};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Encoded sizes of the binary's sections, in bytes (Fig. 9's metric).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
@@ -85,6 +87,19 @@ pub struct Binary {
     /// Per-instruction `(start, len)` span into [`Binary::frame_table`].
     pub frame_spans: Vec<(u32, u32)>,
 }
+
+/// Why [`Binary::validate`] rejected a binary: the first inconsistency
+/// found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InvalidBinary(pub String);
+
+impl fmt::Display for InvalidBinary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "inconsistent binary: {}", self.0)
+    }
+}
+
+impl std::error::Error for InvalidBinary {}
 
 /// Dense byte→instruction map: O(1) [`Binary::index_of_addr`] for the
 /// sample-resolution hot path, where every LBR entry and stack frame costs
@@ -217,6 +232,91 @@ impl Binary {
         self.debug_frames(idx).iter().map(|&(f, _, _)| f)
     }
 
+    /// Checks the structural invariants the simulator and the profilers
+    /// index by without bounds checks: per-instruction tables of equal
+    /// length, increasing non-overlapping addresses, function ids, entries,
+    /// branch targets, callees, globals and counters in range, frame spans
+    /// inside the frame arena, no fall-through off the end, and every
+    /// register below its function's `num_vregs`. A binary from
+    /// [`crate::lower_module`] always passes; one read from a file may not.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidBinary`] describing the first violation.
+    pub fn validate(&self) -> Result<(), InvalidBinary> {
+        let fail = |msg: String| Err(InvalidBinary(msg));
+        let n = self.insts.len();
+        for (table, len) in [
+            ("addrs", self.addrs.len()),
+            ("func_of", self.func_of.len()),
+            ("frame_spans", self.frame_spans.len()),
+        ] {
+            if len != n {
+                return fail(format!("{table} has {len} entries for {n} instructions"));
+            }
+        }
+        for (k, f) in self.funcs.iter().enumerate() {
+            if f.entry >= n {
+                return fail(format!("function {k} entry {} is past the code", f.entry));
+            }
+        }
+        let in_code = |t: usize| t < n;
+        for (i, inst) in self.insts.iter().enumerate() {
+            let fidx = self.func_of[i] as usize;
+            let Some(func) = self.funcs.get(fidx) else {
+                return fail(format!(
+                    "instruction {i} belongs to unknown function {fidx}"
+                ));
+            };
+            let end = self.addrs[i].checked_add(u64::from(inst.size));
+            if i + 1 < n && end.is_none_or(|end| end > self.addrs[i + 1]) {
+                return fail(format!("instruction {i} overlaps its successor"));
+            }
+            let (start, len) = self.frame_spans[i];
+            if start as usize + len as usize > self.frame_table.len() {
+                return fail(format!(
+                    "instruction {i} frame span is past the frame table"
+                ));
+            }
+            let targets_ok = match &inst.kind {
+                MInstKind::Jmp { target } | MInstKind::JmpIf { target, .. } => in_code(*target),
+                MInstKind::JmpTable {
+                    targets, default, ..
+                } => in_code(*default) && targets.iter().all(|&(_, t)| in_code(t)),
+                MInstKind::Call { callee, .. } | MInstKind::TailCall { callee, .. } => {
+                    (*callee as usize) < self.funcs.len()
+                }
+                MInstKind::Load { global, .. } | MInstKind::Store { global, .. } => {
+                    global.index() < self.globals.len()
+                }
+                MInstKind::CounterIncr { counter } => *counter < self.num_counters,
+                _ => true,
+            };
+            if !targets_ok {
+                return fail(format!("instruction {i} refers past its table"));
+            }
+            if let Some(r) = inst_regs(&inst.kind).find(|r| r.index() >= func.num_vregs) {
+                return fail(format!(
+                    "instruction {i} uses {r:?} but function {} has {} registers",
+                    func.name, func.num_vregs
+                ));
+            }
+        }
+        let falls_through = self.insts.last().is_some_and(|last| {
+            !matches!(
+                last.kind,
+                MInstKind::Ret { .. }
+                    | MInstKind::Jmp { .. }
+                    | MInstKind::TailCall { .. }
+                    | MInstKind::JmpTable { .. }
+            )
+        });
+        if falls_through {
+            return fail("the last instruction falls through past the code".into());
+        }
+        Ok(())
+    }
+
     /// Total number of instructions.
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -225,5 +325,113 @@ impl Binary {
     /// Whether the binary is empty.
     pub fn is_empty(&self) -> bool {
         self.insts.is_empty()
+    }
+}
+
+/// Every register an instruction reads or writes.
+fn inst_regs(kind: &MInstKind) -> impl Iterator<Item = VReg> + '_ {
+    let mut dst = None;
+    let mut ops: Vec<&Operand> = Vec::new();
+    match kind {
+        MInstKind::Copy { dst: d, src } => {
+            dst = Some(*d);
+            ops.push(src);
+        }
+        MInstKind::Bin {
+            dst: d, lhs, rhs, ..
+        }
+        | MInstKind::Cmp {
+            dst: d, lhs, rhs, ..
+        } => {
+            dst = Some(*d);
+            ops.extend([lhs, rhs]);
+        }
+        MInstKind::Select {
+            dst: d,
+            cond,
+            on_true,
+            on_false,
+        } => {
+            dst = Some(*d);
+            ops.extend([cond, on_true, on_false]);
+        }
+        MInstKind::Load { dst: d, index, .. } => {
+            dst = Some(*d);
+            ops.push(index);
+        }
+        MInstKind::Store { index, value, .. } => ops.extend([index, value]),
+        MInstKind::Call { dst: d, args, .. } => {
+            dst = *d;
+            ops.extend(args);
+        }
+        MInstKind::TailCall { args, .. } => ops.extend(args),
+        MInstKind::Ret { value } => ops.extend(value),
+        MInstKind::JmpIf { cond, .. } => ops.push(cond),
+        MInstKind::JmpTable { value, .. } => ops.push(value),
+        MInstKind::CounterIncr { .. }
+        | MInstKind::Jmp { .. }
+        | MInstKind::SpillLoad { .. }
+        | MInstKind::SpillStore { .. } => {}
+    }
+    dst.into_iter()
+        .chain(ops.into_iter().filter_map(|o| match o {
+            Operand::Reg(r) => Some(*r),
+            Operand::Imm(_) => None,
+        }))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{lower_module, Binary, CodegenConfig};
+
+    /// A named corruption of a valid binary.
+    type Mutation = (&'static str, fn(&mut Binary));
+
+    fn tiny() -> Binary {
+        let src = "fn f(n) { let s = 0; while (n > 0) { s = s + n; n = n - 1; } return s; }\n\
+                   fn main(n) { return f(n) + 1; }";
+        let m = csspgo_lang::compile(src, "t").expect("compiles");
+        lower_module(&m, &CodegenConfig::default())
+    }
+
+    #[test]
+    fn lowered_binaries_validate() {
+        tiny()
+            .validate()
+            .expect("lower_module output is consistent");
+    }
+
+    #[test]
+    fn each_inconsistency_is_rejected() {
+        let mutations: [Mutation; 6] = [
+            ("func_of truncated", |b| {
+                b.func_of.pop();
+            }),
+            ("addrs truncated", |b| {
+                b.addrs.pop();
+            }),
+            ("entry past insts", |b| b.funcs[0].entry = b.insts.len()),
+            ("func_of id out of range", |b| {
+                b.func_of[0] = b.funcs.len() as u32
+            }),
+            ("no registers", |b| b.funcs[0].num_vregs = 0),
+            ("jump past insts", |b| {
+                let n = b.insts.len();
+                let j = b
+                    .insts
+                    .iter_mut()
+                    .find_map(|i| match &mut i.kind {
+                        crate::MInstKind::Jmp { target } => Some(target),
+                        _ => None,
+                    })
+                    .expect("loop has a jump");
+                *j = n;
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let mut b = tiny();
+            mutate(&mut b);
+            assert!(b.validate().is_err(), "{name} must be rejected");
+        }
     }
 }

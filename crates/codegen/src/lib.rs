@@ -26,7 +26,7 @@ pub mod lower;
 pub mod minst;
 pub mod spill;
 
-pub use binary::{AddrIndex, BinFunc, Binary, SectionSizes};
+pub use binary::{AddrIndex, BinFunc, Binary, InvalidBinary, SectionSizes};
 pub use lower::lower_module;
 pub use minst::{MInst, MInstKind, ProbeNote};
 

@@ -32,7 +32,8 @@
 
 use crate::context::ContextProfile;
 use crate::pipeline::{
-    run_pgo_cycle_drifted, PgoVariant, PipelineConfig, PipelineError, StageTimes,
+    profiling_build, run_pgo_cycle_drifted, staged_machine, PgoVariant, PipelineConfig,
+    PipelineError, StageTimes,
 };
 use crate::ranges::RangeCounts;
 use crate::stalematch::StaleMatching;
@@ -40,7 +41,7 @@ use crate::stream::{ContextEdge, EpochSummary, EvictStats, SnapshotFormat, Strea
 use crate::tailcall::TailCallGraph;
 use crate::workload::Workload;
 use csspgo_codegen::Binary;
-use csspgo_sim::{Machine, SimConfig};
+use csspgo_sim::Machine;
 use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -421,12 +422,8 @@ impl FleetBinaries {
             .map(|(ti, v)| {
                 let t = Instant::now();
                 let name = format!("{}-{}", specs[ti].workload.name, v.label);
-                let mut module =
-                    csspgo_lang::compile(&v.source, &name).map_err(PipelineError::Compile)?;
-                csspgo_opt::discriminators::run(&mut module);
-                csspgo_opt::probes::run(&mut module);
-                csspgo_opt::run_pipeline(&mut module, &cfg.pipeline.opt);
-                let binary = csspgo_codegen::lower_module(&module, &cfg.pipeline.codegen);
+                let (binary, _) =
+                    profiling_build(&v.source, &name, PgoVariant::CsspgoFull, &cfg.pipeline)?;
                 Ok((
                     ti,
                     CompiledVersion {
@@ -637,7 +634,6 @@ impl<'b> FleetService<'b> {
     /// machine per tenant-version, globals staged, aggregators created at
     /// calibration time.
     pub fn new(binaries: &'b FleetBinaries, cfg: FleetConfig) -> FleetService<'b> {
-        let sim = sim_config(&cfg.pipeline);
         let tenants = binaries
             .tenants
             .iter()
@@ -646,10 +642,12 @@ impl<'b> FleetService<'b> {
                     .versions
                     .iter()
                     .map(|v| {
-                        let mut machine = Machine::new(&v.binary, sim.clone());
-                        for (name, values) in &t.spec.workload.setup {
-                            machine.set_global(name, values);
-                        }
+                        let machine = staged_machine(
+                            &v.binary,
+                            &t.spec.workload,
+                            cfg.pipeline.sample_period,
+                            &cfg.pipeline,
+                        );
                         VersionRt {
                             label: v.label.clone(),
                             source: v.source.clone(),
@@ -1089,17 +1087,6 @@ fn sequence<T>(per_tenant: Vec<Result<Vec<T>, FleetError>>) -> Result<Vec<T>, Fl
         out.extend(r?);
     }
     Ok(out)
-}
-
-fn sim_config(cfg: &PipelineConfig) -> SimConfig {
-    SimConfig {
-        lbr_size: cfg.lbr_size,
-        pebs: cfg.pebs,
-        sample_period: cfg.sample_period,
-        seed: cfg.seed,
-        max_steps: cfg.max_steps,
-        ..SimConfig::default()
-    }
 }
 
 #[cfg(test)]

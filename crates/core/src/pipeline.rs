@@ -10,19 +10,24 @@ use crate::annotate::{
     autofdo_annotate, collect_block_counts, csspgo_annotate, instr_annotate_reconstructed,
     AnnotateConfig, AnnotateStats,
 };
+use crate::context::{ContextProfile, FrameKey};
 use crate::correlate::{dwarf_profile, probe_profile};
 use crate::overlap::BlockCounts;
 use crate::preinline::{run_preinliner, to_inline_plan, PreInlineConfig};
+use crate::profile::{FlatProfile, ProbeProfile};
+use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
 use crate::stream::StreamConfig;
 use crate::tailcall::{InferStats, TailCallGraph};
 use crate::workload::Workload;
 use csspgo_codegen::{lower_module, Binary, CodegenConfig, SectionSizes};
-use csspgo_ir::Module;
+use csspgo_ir::flow::FlowEdge;
+use csspgo_ir::{BlockId, FuncId, Module};
+use csspgo_opt::instrument::CounterMap;
 use csspgo_opt::OptConfig;
-use csspgo_sim::Sample;
-use csspgo_sim::{Machine, RunStats, SimConfig};
+use csspgo_sim::{Machine, RunStats, Sample, SimConfig};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -187,6 +192,19 @@ impl PipelineConfig {
             ));
         }
         Ok(())
+    }
+
+    /// The simulator configuration of every run in a cycle, sampling every
+    /// `sample_period` cycles (`0` = no sampling).
+    pub fn sim_config(&self, sample_period: u64) -> SimConfig {
+        SimConfig {
+            lbr_size: self.lbr_size,
+            pebs: self.pebs,
+            sample_period,
+            seed: self.seed,
+            max_steps: self.max_steps,
+            ..SimConfig::default()
+        }
     }
 }
 
@@ -542,6 +560,11 @@ pub fn run_pgo_cycle(
 /// build compiles `build_source` — the paper's source-drift scenario
 /// (profile collected on last week's binary, build uses today's code).
 ///
+/// The cycle is the stage sequence [`profiling_build`] →
+/// [`profiling_run`] → profile generation ([`context_profile`] and the
+/// pre-inliner for full CSSPGO) → binprof hand-off → [`optimized_build`]
+/// → [`evaluate`], each timed into [`StageTimes`].
+///
 /// # Errors
 ///
 /// Returns [`PipelineError`] if either source fails to compile or a
@@ -569,250 +592,255 @@ pub fn run_pgo_cycle_drifted(
         stage_times: StageTimes::default(),
     };
 
-    // ---------- profiling build ----------
-    let stage_start = Instant::now();
-    let mut counter_map = None;
-    let profiling_binary = if variant == PgoVariant::O2 {
-        None
-    } else {
-        let mut module = fresh_module(workload, variant.uses_probes())?;
-        if variant == PgoVariant::Instr {
-            let map = csspgo_opt::instrument::run_with(&mut module, &config.instrument);
-            outcome.counter_sites = map.len();
-            counter_map = Some(map);
-        }
-        csspgo_opt::run_pipeline(&mut module, &config.opt);
-        Some(lower_module(&module, &config.codegen))
-    };
-    outcome.stage_times.compile_ms = ms_since(stage_start);
-
-    // ---------- profiling run ("in production") ----------
-    let stage_start = Instant::now();
-    let mut samples = Vec::new();
-    let mut counters: Vec<u64> = Vec::new();
-    if let Some(binary) = &profiling_binary {
+    // O2 has no profiling half: it goes straight to the optimized build.
+    let mut generated = HandOff::None;
+    if variant != PgoVariant::O2 {
+        let t = Instant::now();
+        let (binary, counter_map) =
+            profiling_build(&workload.source, &workload.name, variant, config)?;
+        outcome.stage_times.compile_ms = ms_since(t);
         outcome.profiling_sections = binary.sections;
-        let sim_cfg = SimConfig {
-            lbr_size: config.lbr_size,
-            pebs: config.pebs,
-            sample_period: if variant == PgoVariant::Instr {
-                0
-            } else {
-                config.sample_period
-            },
-            seed: config.seed,
-            max_steps: config.max_steps,
-            ..SimConfig::default()
+        outcome.counter_sites = counter_map.as_ref().map_or(0, CounterMap::len);
+
+        let t = Instant::now();
+        let run = profiling_run(&binary, workload, variant, config)?;
+        outcome.stage_times.simulate_ms = ms_since(t);
+        outcome.profiling = run.stats;
+
+        let t = Instant::now();
+        generated = match &counter_map {
+            Some(map) => counter_profile(workload, map, &run.counters)?,
+            None => generate_profile(variant, config, &binary, &run, &mut outcome),
         };
-        let mut machine = Machine::new(binary, sim_cfg);
-        for (name, values) in &workload.setup {
-            machine.set_global(name, values);
-        }
-        samples = BatchSource.collect(&mut machine, workload)?;
-        outcome.profiling = *machine.stats();
-        counters = machine.counters().to_vec();
-    }
-    outcome.stage_times.simulate_ms = ms_since(stage_start);
+        outcome.stage_times.correlate_ms = ms_since(t) - outcome.stage_times.preinline_ms;
 
-    // ---------- profile generation ----------
-    enum Generated {
-        None,
-        Flat(crate::profile::FlatProfile),
-        Probe(crate::profile::ProbeProfile, Option<csspgo_ir::InlinePlan>),
-        /// Exact per-block counts plus, under sparse placement, the
-        /// Kirchhoff-recovered edge counts per function.
-        Counters(
-            std::collections::HashMap<(csspgo_ir::FuncId, csspgo_ir::BlockId), u64>,
-            std::collections::HashMap<
-                csspgo_ir::FuncId,
-                Vec<(csspgo_ir::BlockId, csspgo_ir::BlockId, u64)>,
-            >,
-        ),
+        generated = wire_round_trip(generated, &mut outcome.stage_times)?;
     }
 
-    // The plan references the *fresh build module*; compile it first.
-    // (Frontend time for the optimized build counts toward `recompile_ms`.)
-    let stage_start = Instant::now();
-    let mut build_module = frontend(build_source, &workload.name, variant.uses_probes())?;
-    let build_frontend_ms = ms_since(stage_start);
+    outcome.quality_counts = quality_snapshot(workload, variant, config, build_source, &generated)?;
 
-    let stage_start = Instant::now();
-    let mut preinline_ms = 0.0;
-    let generated = match (variant, &profiling_binary) {
-        (PgoVariant::O2, _) | (_, None) => Generated::None,
-        (PgoVariant::AutoFdo, Some(binary)) => {
-            let rc = sharded_range_counts(binary, &samples, config.ingest_shards);
-            Generated::Flat(dwarf_profile(binary, &rc))
-        }
-        (PgoVariant::CsspgoProbeOnly, Some(binary)) => {
-            let rc = sharded_range_counts(binary, &samples, config.ingest_shards);
-            Generated::Probe(probe_profile(binary, &rc), None)
-        }
-        (PgoVariant::CsspgoFull, Some(binary)) => {
-            let rc = sharded_range_counts(binary, &samples, config.ingest_shards);
-            let tail_graph = TailCallGraph::build(binary, &rc);
-            let unwound =
-                sharded_context_profile(binary, Some(&tail_graph), &samples, config.ingest_shards);
-            let mut ctx_profile = unwound.profile;
-            outcome.infer_stats = unwound.infer_stats;
-            let checksums = binary
-                .funcs
-                .iter()
-                .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-                .collect();
-            ctx_profile.set_checksums(&checksums);
-            outcome.context_nodes_before_trim = ctx_profile.node_count();
-            ctx_profile.trim_cold(config.trim_threshold);
-            outcome.context_nodes_after_trim = ctx_profile.node_count();
-            let preinline_start = Instant::now();
-            let pre = run_preinliner(&mut ctx_profile, binary, &config.preinline);
-            outcome.plan_len = pre.plan_paths.len();
-            let plan = to_inline_plan(&pre.plan_paths, &build_module);
-            preinline_ms = ms_since(preinline_start);
-            let mut probe_prof = ctx_profile.to_probe_profile();
-            // Context entry counts can be sparse; fall back to plain LBR
-            // entry counts where missing.
-            for (fidx, c) in rc.entry_counts(binary) {
-                let guid = binary.funcs[fidx as usize].guid;
-                if let Some(fp) = probe_prof.funcs.get_mut(&guid) {
-                    fp.entry = fp.entry.max(c);
-                }
-            }
-            Generated::Probe(probe_prof, Some(plan))
-        }
-        (PgoVariant::Instr, Some(_)) => {
-            let map = counter_map.take().ok_or(PipelineError::Inconsistent(
-                "instrumented build produced no counter map",
-            ))?;
-            let mut exact = std::collections::HashMap::new();
-            for ((fid, bid), counter) in map.by_block {
-                exact.insert((fid, bid), counters[counter as usize]);
-            }
-            let mut recovered_edges = std::collections::HashMap::new();
-            if !map.by_edge.is_empty() {
-                // Sparse measurements are solved back to full flow against
-                // the profiling build's pre-instrumentation CFG (the one
-                // the placement was planned on).
-                let ref_module = fresh_module(workload, false)?;
-                let mut per_func: std::collections::HashMap<
-                    csspgo_ir::FuncId,
-                    std::collections::HashMap<csspgo_ir::flow::FlowEdge, u64>,
-                > = std::collections::HashMap::new();
-                for (fid, edge, counter) in map.by_edge {
-                    per_func
-                        .entry(fid)
-                        .or_default()
-                        .insert(edge, counters[counter as usize]);
-                }
-                for (fid, measured) in per_func {
-                    let flow = csspgo_ir::flow::reconstruct(ref_module.func(fid), &measured)
-                        .ok_or(PipelineError::Inconsistent(
-                            "sparse counter placement failed to reconstruct full flow",
-                        ))?;
-                    for (bid, c) in &flow.block_counts {
-                        exact.insert((fid, *bid), *c);
-                    }
-                    recovered_edges.insert(fid, flow.edge_counts);
-                }
-            }
-            Generated::Counters(exact, recovered_edges)
-        }
+    let t = Instant::now();
+    let build_module = frontend(build_source, &workload.name, variant.uses_probes())?;
+    let (final_binary, annotate_stats) =
+        optimized_build(build_module, &generated, variant, &workload.entry, config);
+    outcome.sections = final_binary.sections;
+    outcome.annotate_stats = annotate_stats;
+    let inference_ms = outcome.annotate_stats.inference.elapsed_us as f64 / 1e3;
+    outcome.stage_times.inference_ms = inference_ms;
+    outcome.stage_times.recompile_ms = (ms_since(t) - inference_ms).max(0.0);
+
+    let t = Instant::now();
+    let (stats, hash) = evaluate(&final_binary, workload, config)?;
+    outcome.eval = stats;
+    outcome.eval_result_hash = hash;
+    outcome.stage_times.evaluate_ms = ms_since(t);
+    Ok(outcome)
+}
+
+/// The profile a PGO cycle hands to its optimized build.
+#[derive(Clone, Debug)]
+pub enum HandOff {
+    /// No profile (the `O2` baseline).
+    None,
+    /// AutoFDO's debug-info line profile.
+    Flat(FlatProfile),
+    /// A probe profile plus, for full CSSPGO, the pre-inliner's decided
+    /// inline chains as call-site frame paths (outer→inner).
+    Probe(ProbeProfile, Option<Vec<Vec<FrameKey>>>),
+    /// Exact per-block counts plus, under sparse placement, the
+    /// Kirchhoff-recovered edge counts per function.
+    Counters(
+        HashMap<(FuncId, BlockId), u64>,
+        HashMap<FuncId, Vec<(BlockId, BlockId, u64)>>,
+    ),
+}
+
+/// What a profiling run observed.
+#[derive(Clone, Debug)]
+pub struct ProfilingRun {
+    /// The complete, ordered PMU sample stream.
+    pub samples: Vec<Sample>,
+    /// Run statistics.
+    pub stats: RunStats,
+    /// Final counter values (instrumented builds; empty elsewhere).
+    pub counters: Vec<u64>,
+}
+
+/// A generated context profile and the by-products the cycle reports.
+#[derive(Clone, Debug)]
+pub struct ContextGen {
+    /// Checksummed, cold-trimmed context profile (the pre-inliner's input).
+    pub profile: ContextProfile,
+    /// LBR range and branch counts of the same samples.
+    pub range_counts: RangeCounts,
+    /// Tail-call missing-frame inference stats.
+    pub infer_stats: InferStats,
+    /// Trie size before trimming.
+    pub nodes_before_trim: usize,
+}
+
+/// The frontend every build starts from: compile, assign discriminators,
+/// then (with `probes`) insert pseudo-probes.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Compile`] if `source` does not compile.
+pub fn frontend(source: &str, name: &str, probes: bool) -> Result<Module, PipelineError> {
+    let mut m = csspgo_lang::compile(source, name)?;
+    csspgo_opt::discriminators::run(&mut m);
+    if probes {
+        csspgo_opt::probes::run(&mut m);
+    }
+    Ok(m)
+}
+
+/// Stage 1, the profiling build: [`frontend`] (probes for probe-based
+/// variants), counter placement for [`PgoVariant::Instr`], the optimizer,
+/// lowering. Returns the binary and, for `Instr`, its counter map.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Compile`] if `source` does not compile.
+pub fn profiling_build(
+    source: &str,
+    name: &str,
+    variant: PgoVariant,
+    config: &PipelineConfig,
+) -> Result<(Binary, Option<CounterMap>), PipelineError> {
+    let mut module = frontend(source, name, variant.uses_probes())?;
+    let counter_map = (variant == PgoVariant::Instr)
+        .then(|| csspgo_opt::instrument::run_with(&mut module, &config.instrument));
+    csspgo_opt::run_pipeline(&mut module, &config.opt);
+    Ok((lower_module(&module, &config.codegen), counter_map))
+}
+
+/// Stage 2, the profiling run ("in production"): the workload's training
+/// traffic through [`BatchSource`]. The instrumented variant counts
+/// exactly and runs without sampling.
+///
+/// # Errors
+///
+/// Returns [`PipelineError::Sim`] if a training call fails.
+pub fn profiling_run(
+    binary: &Binary,
+    workload: &Workload,
+    variant: PgoVariant,
+    config: &PipelineConfig,
+) -> Result<ProfilingRun, PipelineError> {
+    let period = if variant == PgoVariant::Instr {
+        0
+    } else {
+        config.sample_period
     };
-    outcome.stage_times.correlate_ms = ms_since(stage_start) - preinline_ms;
-    outcome.stage_times.preinline_ms = preinline_ms;
+    let mut machine = staged_machine(binary, workload, period, config);
+    let samples = BatchSource.collect(&mut machine, workload)?;
+    Ok(ProfilingRun {
+        samples,
+        stats: *machine.stats(),
+        counters: machine.counters().to_vec(),
+    })
+}
 
-    // ---------- profile hand-off through the binary wire format ----------
-    // Production profiles travel between collector and compiler as binprof
-    // payloads; the pipeline serializes the generated profile and compiles
-    // from the decoded copy, so the wire format is load-bearing — a lossy
-    // encode or a decode regression fails the cycle, and both costs are
-    // visible as stage times.
-    let generated = match generated {
-        Generated::Flat(p) => {
-            let t = Instant::now();
-            let bytes = crate::binprof::encode_flat(&p);
-            outcome.stage_times.serialize_ms = ms_since(t);
-            let t = Instant::now();
-            let decoded = crate::binprof::decode_flat(&bytes)?;
-            outcome.stage_times.deserialize_ms = ms_since(t);
-            Generated::Flat(decoded)
-        }
-        Generated::Probe(p, plan) => {
-            let t = Instant::now();
-            let bytes = crate::binprof::encode_probe(&p);
-            outcome.stage_times.serialize_ms = ms_since(t);
-            let t = Instant::now();
-            let decoded = crate::binprof::decode_probe(&bytes)?;
-            outcome.stage_times.deserialize_ms = ms_since(t);
-            Generated::Probe(decoded, plan)
-        }
-        other => other,
-    };
-
-    // ---------- quality snapshot (no replay, common CFG) ----------
-    {
-        let mut q_module = frontend(build_source, &workload.name, variant.uses_probes())?;
-        let no_replay = AnnotateConfig {
-            inline_budget: 0,
-            ..config.annotate
-        };
-        match &generated {
-            Generated::None => {}
-            Generated::Flat(p) => {
-                autofdo_annotate(&mut q_module, p, &no_replay);
-            }
-            Generated::Probe(p, _) => {
-                csspgo_annotate(&mut q_module, p, None, &no_replay);
-            }
-            Generated::Counters(c, e) => {
-                instr_annotate_reconstructed(&mut q_module, c, e);
-            }
-        }
-        outcome.quality_counts = collect_block_counts(&q_module);
+/// Stage 3, context-profile generation (full CSSPGO): range counts →
+/// tail-call graph → sharded unwinding → [`stamp_and_trim`] at
+/// `config.trim_threshold`.
+pub fn context_profile(binary: &Binary, samples: &[Sample], config: &PipelineConfig) -> ContextGen {
+    let range_counts = sharded_range_counts(binary, samples, config.ingest_shards);
+    let tail_graph = TailCallGraph::build(binary, &range_counts);
+    let unwound = sharded_context_profile(binary, Some(&tail_graph), samples, config.ingest_shards);
+    let mut profile = unwound.profile;
+    let nodes_before_trim = profile.node_count();
+    stamp_and_trim(&mut profile, binary, config.trim_threshold);
+    ContextGen {
+        profile,
+        range_counts,
+        infer_stats: unwound.infer_stats,
+        nodes_before_trim,
     }
+}
 
-    // ---------- optimized build ----------
-    let stage_start = Instant::now();
-    match &generated {
-        Generated::None => {}
-        Generated::Flat(p) => {
-            outcome.annotate_stats = autofdo_annotate(&mut build_module, p, &config.annotate);
-        }
-        Generated::Probe(p, plan) => {
-            outcome.annotate_stats =
-                csspgo_annotate(&mut build_module, p, plan.as_ref(), &config.annotate);
-        }
-        Generated::Counters(c, e) => {
-            outcome.annotate_stats = instr_annotate_reconstructed(&mut build_module, c, e);
+/// Stamps each function's probe CFG checksum from `binary` onto every
+/// context of `profile`, then trims contexts colder than `trim_threshold`
+/// into base profiles. Stamping comes first so merged base profiles carry
+/// checksums too.
+pub fn stamp_and_trim(profile: &mut ContextProfile, binary: &Binary, trim_threshold: u64) {
+    let checksums = binary
+        .funcs
+        .iter()
+        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
+        .collect();
+    profile.set_checksums(&checksums);
+    profile.trim_cold(trim_threshold);
+}
+
+/// Stage 4, probe-profile finishing: flattens `ctx` into the probe
+/// profile a rebuild consumes. Context entry counts can be sparse, so each
+/// function's entry is raised to its plain LBR entry count from `rc`;
+/// those functions also get their names.
+pub fn finish_probe_profile(
+    ctx: &ContextProfile,
+    rc: &RangeCounts,
+    binary: &Binary,
+) -> ProbeProfile {
+    let mut probe_prof = ctx.to_probe_profile();
+    for (fidx, c) in rc.entry_counts(binary) {
+        let f = &binary.funcs[fidx as usize];
+        probe_prof
+            .names
+            .entry(f.guid)
+            .or_insert_with(|| f.name.clone());
+        if let Some(fp) = probe_prof.funcs.get_mut(&f.guid) {
+            fp.entry = fp.entry.max(c);
         }
     }
-    // Full CSSPGO honors the pre-inliner's global decisions: the bottom-up
-    // inliner is restricted to trivially-small callees so it cannot undo the
-    // pre-inliner's selectivity (paper §III.B: the compiler "will try to
-    // honor the decision made by pre-inliner when possible").
+    probe_prof
+}
+
+/// Stages 1–4 for full CSSPGO over the workload's own source: the probe
+/// profile a rebuild would consume, without pre-inlining.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] if the source fails to compile or the
+/// profiling run fails.
+pub fn collect_probe_profile(
+    workload: &Workload,
+    config: &PipelineConfig,
+) -> Result<ProbeProfile, PipelineError> {
+    let variant = PgoVariant::CsspgoFull;
+    let (binary, _) = profiling_build(&workload.source, &workload.name, variant, config)?;
+    let run = profiling_run(&binary, workload, variant, config)?;
+    let gen = context_profile(&binary, &run.samples, config);
+    Ok(finish_probe_profile(
+        &gen.profile,
+        &gen.range_counts,
+        &binary,
+    ))
+}
+
+/// Stage 5, the optimized build of a fresh [`frontend`] module: annotate
+/// with `profile`, optimize, strip functions unreachable from `entry`
+/// (link-time GC: fully inlined bodies go), lower. Full CSSPGO restricts
+/// the bottom-up inliner to trivially small callees so it honors the
+/// pre-inliner's decisions (paper §III.B: the compiler "will try to honor
+/// the decision made by pre-inliner when possible").
+pub fn optimized_build(
+    mut module: Module,
+    profile: &HandOff,
+    variant: PgoVariant,
+    entry: &str,
+    config: &PipelineConfig,
+) -> (Binary, AnnotateStats) {
+    let stats = annotate_with(&mut module, profile, &config.annotate);
     let mut opt_cfg = config.opt.clone();
     if variant == PgoVariant::CsspgoFull {
         opt_cfg.inline_hot_size = opt_cfg.inline_small_size;
     }
-    csspgo_opt::run_pipeline(&mut build_module, &opt_cfg);
-    // Link-time GC: fully-inlined functions lose their standalone bodies.
-    if let Some(root) = build_module.find_function(&workload.entry) {
-        csspgo_opt::strip::run(&mut build_module, &[root]);
+    csspgo_opt::run_pipeline(&mut module, &opt_cfg);
+    if let Some(root) = module.find_function(entry) {
+        csspgo_opt::strip::run(&mut module, &[root]);
     }
-    let final_binary = lower_module(&build_module, &config.codegen);
-    outcome.sections = final_binary.sections;
-    let inference_ms = outcome.annotate_stats.inference.elapsed_us as f64 / 1e3;
-    outcome.stage_times.inference_ms = inference_ms;
-    outcome.stage_times.recompile_ms =
-        (build_frontend_ms + ms_since(stage_start) - inference_ms).max(0.0);
-
-    // ---------- evaluation run ----------
-    let stage_start = Instant::now();
-    let (stats, hash) = evaluate(&final_binary, workload, config)?;
-    outcome.eval = stats;
-    outcome.eval_result_hash = hash;
-    outcome.stage_times.evaluate_ms = ms_since(stage_start);
-    Ok(outcome)
+    (lower_module(&module, &config.codegen), stats)
 }
 
 /// Runs the evaluation traffic on `binary`, returning stats and a hash of
@@ -822,18 +850,7 @@ pub fn evaluate(
     workload: &Workload,
     config: &PipelineConfig,
 ) -> Result<(RunStats, u64), PipelineError> {
-    let sim_cfg = SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: 0,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..SimConfig::default()
-    };
-    let mut machine = Machine::new(binary, sim_cfg);
-    for (name, values) in &workload.setup {
-        machine.set_global(name, values);
-    }
+    let mut machine = staged_machine(binary, workload, 0, config);
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for args in &workload.eval_calls {
         let r = machine.call(&workload.entry, args)?;
@@ -850,32 +867,163 @@ pub fn build_and_run(
     with_probes: bool,
     config: &PipelineConfig,
 ) -> Result<(RunStats, SectionSizes), PipelineError> {
-    let mut module = fresh_module(workload, with_probes)?;
-    csspgo_opt::run_pipeline(&mut module, &config.opt);
-    if let Some(root) = module.find_function(&workload.entry) {
-        csspgo_opt::strip::run(&mut module, &[root]);
-    }
-    let binary = lower_module(&module, &config.codegen);
+    let module = frontend(&workload.source, &workload.name, with_probes)?;
+    let (binary, _) = optimized_build(
+        module,
+        &HandOff::None,
+        PgoVariant::O2,
+        &workload.entry,
+        config,
+    );
     let (stats, _) = evaluate(&binary, workload, config)?;
     Ok((stats, binary.sections))
 }
 
-/// Fresh-IR compile helper used by quality experiments: compile,
-/// discriminators and (with `probes`) pseudo-probes over the workload's
-/// own source — the frontend every build of a PGO cycle starts from.
-pub fn fresh_module(workload: &Workload, probes: bool) -> Result<Module, PipelineError> {
-    frontend(&workload.source, &workload.name, probes)
+/// A machine over `binary` in the cycle's simulator configuration
+/// ([`PipelineConfig::sim_config`]), with the workload's globals staged.
+pub fn staged_machine<'b>(
+    binary: &'b Binary,
+    workload: &Workload,
+    sample_period: u64,
+    config: &PipelineConfig,
+) -> Machine<'b> {
+    let mut machine = Machine::new(binary, config.sim_config(sample_period));
+    for (name, values) in &workload.setup {
+        machine.set_global(name, values);
+    }
+    machine
 }
 
-/// The one frontend sequence every build starts from: compile, assign
-/// discriminators, then (for probe-based variants) insert pseudo-probes.
-fn frontend(source: &str, name: &str, probes: bool) -> Result<Module, PipelineError> {
-    let mut m = csspgo_lang::compile(source, name)?;
-    csspgo_opt::discriminators::run(&mut m);
-    if probes {
-        csspgo_opt::probes::run(&mut m);
+/// Turns a sampling run into the variant's compiler profile, recording the
+/// context-trie, pre-inliner and tail-call stats (and the pre-inliner time)
+/// into `outcome`.
+fn generate_profile(
+    variant: PgoVariant,
+    config: &PipelineConfig,
+    binary: &Binary,
+    run: &ProfilingRun,
+    outcome: &mut PgoOutcome,
+) -> HandOff {
+    let range_counts = || sharded_range_counts(binary, &run.samples, config.ingest_shards);
+    match variant {
+        // The instrumented variant reads counters, not samples.
+        PgoVariant::O2 | PgoVariant::Instr => HandOff::None,
+        PgoVariant::AutoFdo => HandOff::Flat(dwarf_profile(binary, &range_counts())),
+        PgoVariant::CsspgoProbeOnly => HandOff::Probe(probe_profile(binary, &range_counts()), None),
+        PgoVariant::CsspgoFull => {
+            let mut gen = context_profile(binary, &run.samples, config);
+            outcome.infer_stats = gen.infer_stats;
+            outcome.context_nodes_before_trim = gen.nodes_before_trim;
+            outcome.context_nodes_after_trim = gen.profile.node_count();
+            let t = Instant::now();
+            let pre = run_preinliner(&mut gen.profile, binary, &config.preinline);
+            outcome.stage_times.preinline_ms = ms_since(t);
+            outcome.plan_len = pre.plan_paths.len();
+            HandOff::Probe(
+                finish_probe_profile(&gen.profile, &gen.range_counts, binary),
+                Some(pre.plan_paths),
+            )
+        }
     }
-    Ok(m)
+}
+
+/// Reads the instrumented variant's counters back into exact block counts.
+/// Sparse measurements are solved back to full flow against the profiling
+/// build's pre-instrumentation CFG (the one the placement was planned on).
+fn counter_profile(
+    workload: &Workload,
+    map: &CounterMap,
+    counters: &[u64],
+) -> Result<HandOff, PipelineError> {
+    let mut exact = HashMap::new();
+    for (&(fid, bid), &counter) in &map.by_block {
+        exact.insert((fid, bid), counters[counter as usize]);
+    }
+    let mut recovered_edges = HashMap::new();
+    if !map.by_edge.is_empty() {
+        let ref_module = frontend(&workload.source, &workload.name, false)?;
+        let mut per_func: HashMap<FuncId, HashMap<FlowEdge, u64>> = HashMap::new();
+        for &(fid, edge, counter) in &map.by_edge {
+            per_func
+                .entry(fid)
+                .or_default()
+                .insert(edge, counters[counter as usize]);
+        }
+        for (fid, measured) in per_func {
+            let flow = csspgo_ir::flow::reconstruct(ref_module.func(fid), &measured).ok_or(
+                PipelineError::Inconsistent(
+                    "sparse counter placement failed to reconstruct full flow",
+                ),
+            )?;
+            for (bid, c) in &flow.block_counts {
+                exact.insert((fid, *bid), *c);
+            }
+            recovered_edges.insert(fid, flow.edge_counts);
+        }
+    }
+    Ok(HandOff::Counters(exact, recovered_edges))
+}
+
+/// Production profiles travel between collector and compiler as binprof
+/// payloads; the cycle serializes the generated profile and compiles from
+/// the decoded copy, so the wire format is load-bearing — a lossy encode
+/// or a decode regression fails the cycle, and both costs are visible as
+/// stage times.
+fn wire_round_trip(profile: HandOff, times: &mut StageTimes) -> Result<HandOff, PipelineError> {
+    Ok(match profile {
+        HandOff::Flat(p) => {
+            let t = Instant::now();
+            let bytes = crate::binprof::encode_flat(&p);
+            times.serialize_ms = ms_since(t);
+            let t = Instant::now();
+            let decoded = crate::binprof::decode_flat(&bytes)?;
+            times.deserialize_ms = ms_since(t);
+            HandOff::Flat(decoded)
+        }
+        HandOff::Probe(p, plan) => {
+            let t = Instant::now();
+            let bytes = crate::binprof::encode_probe(&p);
+            times.serialize_ms = ms_since(t);
+            let t = Instant::now();
+            let decoded = crate::binprof::decode_probe(&bytes)?;
+            times.deserialize_ms = ms_since(t);
+            HandOff::Probe(decoded, plan)
+        }
+        other => other,
+    })
+}
+
+/// Fresh-IR block counts of `build_source` under `profile`, with no inline
+/// replay so every variant is measured on the same CFG.
+fn quality_snapshot(
+    workload: &Workload,
+    variant: PgoVariant,
+    config: &PipelineConfig,
+    build_source: &str,
+    profile: &HandOff,
+) -> Result<BlockCounts, PipelineError> {
+    let mut module = frontend(build_source, &workload.name, variant.uses_probes())?;
+    // A zero inline budget replays nothing, the pre-inliner's plan included.
+    let no_replay = AnnotateConfig {
+        inline_budget: 0,
+        ..config.annotate
+    };
+    annotate_with(&mut module, profile, &no_replay);
+    Ok(collect_block_counts(&module))
+}
+
+/// Annotates `module` with `profile`, replaying a probe profile's inline
+/// plan paths (if any) against `module`.
+fn annotate_with(module: &mut Module, profile: &HandOff, cfg: &AnnotateConfig) -> AnnotateStats {
+    match profile {
+        HandOff::None => AnnotateStats::default(),
+        HandOff::Flat(p) => autofdo_annotate(module, p, cfg),
+        HandOff::Probe(p, paths) => {
+            let plan = paths.as_ref().map(|paths| to_inline_plan(paths, module));
+            csspgo_annotate(module, p, plan.as_ref(), cfg)
+        }
+        HandOff::Counters(c, e) => instr_annotate_reconstructed(module, c, e),
+    }
 }
 
 #[cfg(test)]

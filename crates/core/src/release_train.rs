@@ -16,10 +16,10 @@
 //!   checksum-mismatched function, the paper's source-drift failure mode.
 //!
 //! The per-release **pgo** point is built from the *live* stable-version
-//! profile ([`crate::stream::StreamAggregator::context_snapshot`] →
-//! pre-inliner →
-//! binprof hand-off → [`csspgo_annotate`] under the configured
-//! stale-matching + inference modes), so the whole
+//! profile (the stream's context profile through the pipeline's
+//! full-CSSPGO stages: [`stamp_and_trim`] → pre-inliner →
+//! [`finish_probe_profile`] → binprof hand-off → [`optimized_build`] under
+//! the configured stale-matching + inference modes), so the whole
 //! stream/stalematch/inference stack is on the measured path. Retention
 //! is reported signed against the `-O2` baseline:
 //! `(o2 − x) / (o2 − oracle) × 100`.
@@ -35,21 +35,22 @@
 //! A seeded sabotage hook corrupts the hand-off profile of one release so
 //! tests can assert the gate actually gates.
 
-use crate::annotate::{csspgo_annotate, AnnotateConfig};
 use crate::binprof;
-use crate::context::FrameKey;
 use crate::fleet::{
     FleetBinaries, FleetConfig, FleetError, FleetEvent, FleetService, TenantId, TenantSpec,
     TrafficShare, VersionSpec,
 };
 use crate::inference::InferenceMode;
-use crate::pipeline::{evaluate, run_pgo_cycle, PgoVariant, PipelineConfig, PipelineError};
-use crate::preinline::{run_preinliner, to_inline_plan};
+use crate::pipeline::{
+    evaluate, finish_probe_profile, frontend, optimized_build, run_pgo_cycle, stamp_and_trim,
+    HandOff, PgoVariant, PipelineConfig, PipelineError,
+};
+use crate::preinline::run_preinliner;
 use crate::profile::{ProbeFuncProfile, ProbeProfile};
 use crate::stalematch::StaleMatching;
-use crate::stream::{probe_weights, weight_overlap};
+use crate::stream::{probe_weights, weight_overlap, StreamAggregator};
 use crate::workload::Workload;
-use csspgo_codegen::lower_module;
+use csspgo_codegen::Binary;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -281,35 +282,27 @@ pub fn run_release_train(
     service0.drift_probe()?;
     let agg0 = service0.aggregator(tenant, "v0").expect("v0 calibrated");
     let v0_binary = binaries0.binary(tenant, "v0").expect("v0 compiled");
-    // Floor assets, frozen for the whole train: context snapshot +
-    // pre-inline plan paths + probe profile, all from the v0 live stream.
-    let mut floor_ctx = agg0.context_snapshot(pipe.trim_threshold);
-    let floor_pre = run_preinliner(&mut floor_ctx, v0_binary, &pipe.preinline);
-    let mut floor_probe = floor_ctx.to_probe_profile();
-    agg0.backfill_entries(&mut floor_probe);
-    let floor_probe = binprof::decode_probe(&binprof::encode_probe(&floor_probe))
-        .map_err(|e| FleetError::Pipeline(PipelineError::from(e)))?;
+    // Floor hand-off, frozen for the whole train: probe profile + pre-inline
+    // plan paths from the v0 live stream.
+    let (floor_probe, floor_paths) = live_hand_off(agg0, v0_binary, &pipe)?;
+    let floor = HandOff::Probe(floor_probe, Some(floor_paths));
 
-    let live_annotate = AnnotateConfig {
-        stale_matching: cfg.refresh_matching,
-        inference: cfg.refresh_inference,
-        ..pipe.annotate
-    };
-    let floor_annotate = AnnotateConfig {
-        stale_matching: StaleMatching::Off,
-        inference: cfg.refresh_inference,
-        ..pipe.annotate
+    // The full-CSSPGO optimized build of `source` from a supplied hand-off
+    // under `matching`, evaluated on the workload's traffic.
+    let rebuild = |source: &str, profile: &HandOff, matching: StaleMatching| {
+        let mut build_cfg = pipe.clone();
+        build_cfg.annotate.stale_matching = matching;
+        build_cfg.annotate.inference = cfg.refresh_inference;
+        let module = frontend(source, &workload.name, true)?;
+        let full = PgoVariant::CsspgoFull;
+        let (binary, _) = optimized_build(module, profile, full, &workload.entry, &build_cfg);
+        evaluate(&binary, workload, &pipe)
     };
 
     // The train's starting point: v0 optimized from its own live profile.
-    let (baseline_cycles, _, _) = build_with_profile(
-        workload,
-        &workload.source,
-        &floor_probe,
-        Some(&floor_pre.plan_paths),
-        &live_annotate,
-        &pipe,
-    )?;
+    let baseline_cycles = rebuild(&workload.source, &floor, cfg.refresh_matching)?
+        .0
+        .cycles;
 
     let mut stable_source = workload.source.clone();
     let mut stable_label = "v0".to_string();
@@ -382,26 +375,14 @@ pub fn run_release_train(
         let stable_bin = binaries
             .binary(tenant, &stable_label)
             .expect("stable compiled");
-        let mut live_ctx = stable_agg.context_snapshot(pipe.trim_threshold);
-        let live_pre = run_preinliner(&mut live_ctx, stable_bin, &pipe.preinline);
-        let mut live_probe = live_ctx.to_probe_profile();
-        stable_agg.backfill_entries(&mut live_probe);
-        let mut live_probe = binprof::decode_probe(&binprof::encode_probe(&live_probe))
-            .map_err(|e| FleetError::Pipeline(PipelineError::from(e)))?;
+        let (mut live_probe, live_paths) = live_hand_off(stable_agg, stable_bin, &pipe)?;
         let sabotaged = cfg.sabotage_release == Some(ri);
-        let mut plan_paths: Option<&[Vec<FrameKey>]> = Some(&live_pre.plan_paths);
         if sabotaged {
             corrupt_profile(&mut live_probe);
-            plan_paths = None;
         }
-        let (pgo_cycles, pgo_hash, _) = build_with_profile(
-            workload,
-            &rel.source,
-            &live_probe,
-            plan_paths,
-            &live_annotate,
-            &pipe,
-        )?;
+        let live = HandOff::Probe(live_probe, (!sabotaged).then_some(live_paths));
+        let (pgo_stats, pgo_hash) = rebuild(&rel.source, &live, cfg.refresh_matching)?;
+        let pgo_cycles = pgo_stats.cycles;
 
         // Anchors on the new source: plain -O2 and the fresh-profile
         // oracle.
@@ -411,14 +392,7 @@ pub fn run_release_train(
         let oracle = run_pgo_cycle(&rel_wl, PgoVariant::CsspgoFull, &pipe)?;
 
         // Never-refresh floor: the frozen v0 profile with matching off.
-        let (floor_cycles, _, _) = build_with_profile(
-            workload,
-            &rel.source,
-            &floor_probe,
-            Some(&floor_pre.plan_paths),
-            &floor_annotate,
-            &pipe,
-        )?;
+        let floor_cycles = rebuild(&rel.source, &floor, StaleMatching::Off)?.0.cycles;
 
         let o2_cycles = o2.eval.cycles;
         let oracle_cycles = oracle.eval.cycles;
@@ -497,35 +471,21 @@ pub fn run_release_train(
     })
 }
 
-/// Builds an optimized binary of `build_source` from an already-collected
-/// probe profile and optional pre-inline plan paths, then evaluates it —
-/// the optimized-build half of the full-CSSPGO cycle, with the profile
-/// supplied instead of collected. Returns `(eval cycles, eval result
-/// hash, annotate stats)`.
-fn build_with_profile(
-    workload: &Workload,
-    build_source: &str,
-    probe: &ProbeProfile,
-    plan_paths: Option<&[Vec<FrameKey>]>,
-    annotate: &AnnotateConfig,
+/// The full-CSSPGO hand-off of a live stream, derived as the batch
+/// pipeline derives it: [`stamp_and_trim`] → pre-inliner →
+/// [`finish_probe_profile`] → binprof round trip. Returns the decoded
+/// probe profile and the pre-inliner's plan paths.
+fn live_hand_off(
+    agg: &StreamAggregator<'_>,
+    binary: &Binary,
     pipe: &PipelineConfig,
-) -> Result<(u64, u64, crate::annotate::AnnotateStats), PipelineError> {
-    let mut module = csspgo_lang::compile(build_source, &workload.name)?;
-    csspgo_opt::discriminators::run(&mut module);
-    csspgo_opt::probes::run(&mut module);
-    let plan = plan_paths.map(|p| to_inline_plan(p, &module));
-    let stats = csspgo_annotate(&mut module, probe, plan.as_ref(), annotate);
-    // Full CSSPGO honors the pre-inliner: the bottom-up inliner is
-    // restricted to trivially-small callees (same rule as the pipeline).
-    let mut opt_cfg = pipe.opt.clone();
-    opt_cfg.inline_hot_size = opt_cfg.inline_small_size;
-    csspgo_opt::run_pipeline(&mut module, &opt_cfg);
-    if let Some(root) = module.find_function(&workload.entry) {
-        csspgo_opt::strip::run(&mut module, &[root]);
-    }
-    let binary = lower_module(&module, &pipe.codegen);
-    let (run_stats, hash) = evaluate(&binary, workload, pipe)?;
-    Ok((run_stats.cycles, hash, stats))
+) -> Result<(ProbeProfile, Vec<Vec<crate::context::FrameKey>>), PipelineError> {
+    let mut ctx = agg.context_profile().clone();
+    stamp_and_trim(&mut ctx, binary, pipe.trim_threshold);
+    let pre = run_preinliner(&mut ctx, binary, &pipe.preinline);
+    let probe = finish_probe_profile(&ctx, agg.range_counts(), binary);
+    let probe = binprof::decode_probe(&binprof::encode_probe(&probe))?;
+    Ok((probe, pre.plan_paths))
 }
 
 /// Hot/cold inversion: every probe count `c` becomes `max − c + 1` within

@@ -39,7 +39,7 @@
 use crate::binprof::{self, put_uvarint, Kind};
 use crate::context::ContextProfile;
 use crate::merge::merge_context;
-use crate::pipeline::{PipelineError, StageTimes};
+use crate::pipeline::{self, PipelineError, StageTimes};
 use crate::profile::ProbeProfile;
 use crate::ranges::RangeCounts;
 use crate::shard::{sharded_context_profile, sharded_range_counts};
@@ -469,49 +469,13 @@ impl<'b> StreamAggregator<'b> {
     }
 
     /// Collapses the cumulative profile into a build-ready [`ProbeProfile`]
-    /// the same way the batch pipeline does for full CSSPGO: checksums from
-    /// the profiled binary, cold contexts trimmed at `trim_threshold`,
-    /// context entry counts back-filled from plain LBR entry counts where
-    /// sparse.
+    /// the same way the batch pipeline does for full CSSPGO
+    /// ([`pipeline::stamp_and_trim`] at `trim_threshold`, then
+    /// [`pipeline::finish_probe_profile`]).
     pub fn to_probe_profile(&self, trim_threshold: u64) -> ProbeProfile {
-        let mut probe_prof = self.context_snapshot(trim_threshold).to_probe_profile();
-        self.backfill_entries(&mut probe_prof);
-        probe_prof
-    }
-
-    /// A checksummed, cold-trimmed clone of the cumulative context
-    /// profile — the pre-inliner's input shape, matching what the batch
-    /// pipeline derives right before `run_preinliner`. The release-train
-    /// harness uses this to grow an inline plan out of a *live* profile.
-    pub fn context_snapshot(&self, trim_threshold: u64) -> ContextProfile {
         let mut ctx = self.profile.clone();
-        let checksums = self
-            .binary
-            .funcs
-            .iter()
-            .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-            .collect();
-        ctx.set_checksums(&checksums);
-        ctx.trim_cold(trim_threshold);
-        ctx
-    }
-
-    /// Back-fills sparse function entry counts from the plain LBR entry
-    /// counters — the repair [`Self::to_probe_profile`] applies, exposed
-    /// so a caller deriving its own [`ProbeProfile`] (e.g. after
-    /// pre-inlining mutated a [`Self::context_snapshot`]) gets identical
-    /// entries.
-    pub fn backfill_entries(&self, probe_prof: &mut ProbeProfile) {
-        for (fidx, c) in self.rc.entry_counts(self.binary) {
-            let f = &self.binary.funcs[fidx as usize];
-            probe_prof
-                .names
-                .entry(f.guid)
-                .or_insert_with(|| f.name.clone());
-            if let Some(fp) = probe_prof.funcs.get_mut(&f.guid) {
-                fp.entry = fp.entry.max(c);
-            }
-        }
+        pipeline::stamp_and_trim(&mut ctx, self.binary, trim_threshold);
+        pipeline::finish_probe_profile(&ctx, &self.rc, self.binary)
     }
 
     // -----------------------------------------------------------------

@@ -68,9 +68,7 @@ fn print_node(profile: &ContextProfile, node: &ContextNode, indent: usize) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build a probed binary and profile it with synchronized LBR + stack
     // sampling.
-    let mut module = csspgo::lang::compile(SRC, "fig3")?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let mut module = csspgo::core::pipeline::frontend(SRC, "fig3", true)?;
     csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
     let binary = lower_module(&module, &CodegenConfig::default());
 

@@ -32,9 +32,7 @@ fn serve(q, n) {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Profiling build (probes + full pipeline) and a production run.
-    let mut module = csspgo::lang::compile(SRC, "svc")?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let mut module = csspgo::core::pipeline::frontend(SRC, "svc", true)?;
     csspgo::opt::run_pipeline(&mut module, &csspgo::opt::OptConfig::default());
     let binary = lower_module(&module, &CodegenConfig::default());
 

@@ -13,9 +13,10 @@
 //! profiles as the LLVM-style text formats in
 //! [`csspgo::core::textprof`].
 
+use csspgo::cli::{has_flag, opt_value};
 use csspgo::codegen::{lower_module, Binary, CodegenConfig};
 use csspgo::core::correlate::{dwarf_profile, probe_profile};
-use csspgo::core::pipeline::{run_pgo_cycle, PgoVariant, PipelineConfig};
+use csspgo::core::pipeline::{frontend, run_pgo_cycle, PgoVariant, PipelineConfig};
 use csspgo::core::ranges::RangeCounts;
 use csspgo::core::shard::sharded_context_profile;
 use csspgo::core::tailcall::TailCallGraph;
@@ -66,18 +67,6 @@ the LLVM-style text formats."#
     );
 }
 
-/// Pulls `--flag value` out of an argument list.
-fn opt_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
-
 fn parse_args_list(s: &str) -> Result<Vec<i64>, String> {
     if s.is_empty() {
         return Ok(vec![]);
@@ -92,15 +81,11 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with('-'))
         .ok_or("compile: missing source file")?;
-    let out = opt_value(args, "-o").ok_or("compile: missing -o <out>")?;
+    let out = opt_value(args, "-o")?.ok_or("compile: missing -o <out>")?;
     let source =
         std::fs::read_to_string(src_path).map_err(|e| format!("reading {src_path}: {e}"))?;
-    let mut module =
-        csspgo::lang::compile(&source, src_path).map_err(|e| format!("{src_path}: {e}"))?;
-    csspgo::opt::discriminators::run(&mut module);
-    if has_flag(args, "--probes") {
-        csspgo::opt::probes::run(&mut module);
-    }
+    let mut module = frontend(&source, src_path, has_flag(args, "--probes"))
+        .map_err(|e| format!("{src_path}: {e}"))?;
     if has_flag(args, "--instrument") {
         csspgo::opt::instrument::run(&mut module);
     }
@@ -122,7 +107,10 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 
 fn load_binary(path: &str) -> Result<Binary, String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&json).map_err(|e| format!("{path}: not a csspgo binary: {e}"))
+    let binary: Binary =
+        serde_json::from_str(&json).map_err(|e| format!("{path}: not a csspgo binary: {e}"))?;
+    binary.validate().map_err(|e| format!("{path}: {e}"))?;
+    Ok(binary)
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -130,13 +118,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with('-'))
         .ok_or("run: missing binary")?;
-    let entry = opt_value(args, "--entry").ok_or("run: missing --entry")?;
-    let call_args = parse_args_list(&opt_value(args, "--args").unwrap_or_default())?;
-    let repeat: u64 = opt_value(args, "--repeat")
+    let entry = opt_value(args, "--entry")?.ok_or("run: missing --entry")?;
+    let call_args = parse_args_list(&opt_value(args, "--args")?.unwrap_or_default())?;
+    let repeat: u64 = opt_value(args, "--repeat")?
         .map(|v| v.parse().map_err(|_| "bad --repeat"))
         .transpose()?
         .unwrap_or(1);
-    let period: u64 = opt_value(args, "--sample-period")
+    let period: u64 = opt_value(args, "--sample-period")?
         .map(|v| v.parse().map_err(|_| "bad --sample-period"))
         .transpose()?
         .unwrap_or(0);
@@ -166,7 +154,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         stats.icache_misses,
         stats.samples
     );
-    if let Some(out) = opt_value(args, "--samples-out") {
+    if let Some(out) = opt_value(args, "--samples-out")? {
         let samples = machine.take_samples();
         let json = serde_json::to_string(&samples).map_err(|e| e.to_string())?;
         std::fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
@@ -180,8 +168,8 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with('-'))
         .ok_or("profgen: missing binary")?;
-    let samples_path = opt_value(args, "--samples").ok_or("profgen: missing --samples")?;
-    let format = opt_value(args, "--format").unwrap_or_else(|| "flat".into());
+    let samples_path = opt_value(args, "--samples")?.ok_or("profgen: missing --samples")?;
+    let format = opt_value(args, "--format")?.unwrap_or_else(|| "flat".into());
     let binary = load_binary(bin_path)?;
     let samples: Vec<Sample> = {
         let json = std::fs::read_to_string(&samples_path)
@@ -204,7 +192,7 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown --format `{other}`")),
     };
-    match opt_value(args, "-o") {
+    match opt_value(args, "-o")? {
         Some(out) => {
             std::fs::write(&out, &text).map_err(|e| format!("writing {out}: {e}"))?;
             println!("wrote {out} ({} bytes)", text.len());
@@ -215,8 +203,8 @@ fn cmd_profgen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_merge(args: &[String]) -> Result<(), String> {
-    let format = opt_value(args, "--format").unwrap_or_else(|| "flat".into());
-    let out = opt_value(args, "-o");
+    let format = opt_value(args, "--format")?.unwrap_or_else(|| "flat".into());
+    let out = opt_value(args, "-o")?;
     let inputs: Vec<&String> = {
         // Positional arguments: everything not a flag and not a flag value.
         let mut skip_next = false;
@@ -274,8 +262,8 @@ fn cmd_pgo(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with('-'))
         .ok_or("pgo: missing source file")?;
-    let entry = opt_value(args, "--entry").ok_or("pgo: missing --entry")?;
-    let variant = match opt_value(args, "--variant").as_deref() {
+    let entry = opt_value(args, "--entry")?.ok_or("pgo: missing --entry")?;
+    let variant = match opt_value(args, "--variant")?.as_deref() {
         Some("o2") => PgoVariant::O2,
         Some("instr") => PgoVariant::Instr,
         Some("autofdo") => PgoVariant::AutoFdo,
@@ -283,12 +271,10 @@ fn cmd_pgo(args: &[String]) -> Result<(), String> {
         Some("csspgo") | None => PgoVariant::CsspgoFull,
         Some(other) => return Err(format!("unknown --variant `{other}`")),
     };
-    let train = parse_args_list(&opt_value(args, "--train").unwrap_or_default())?;
-    let eval = parse_args_list(
-        &opt_value(args, "--eval")
-            .unwrap_or_else(|| opt_value(args, "--train").unwrap_or_default()),
-    )?;
-    let repeat: usize = opt_value(args, "--repeat")
+    let train_arg = opt_value(args, "--train")?.unwrap_or_default();
+    let train = parse_args_list(&train_arg)?;
+    let eval = parse_args_list(&opt_value(args, "--eval")?.unwrap_or(train_arg))?;
+    let repeat: usize = opt_value(args, "--repeat")?
         .map(|v| v.parse().map_err(|_| "bad --repeat"))
         .transpose()?
         .unwrap_or(10);

@@ -36,15 +36,11 @@
 use csspgo::analysis::{
     inference_quality, provenance_breakdown, Analyzer, DiffReport, Policy, ScenarioReport,
 };
-use csspgo::codegen::{lower_module, CodegenConfig};
-use csspgo::core::pipeline::{BatchSource, PipelineConfig, ProfileSource};
+use csspgo::cli::{multi_value, opt_value};
+use csspgo::core::pipeline::{self, PipelineConfig};
 use csspgo::core::profile::ProbeProfile;
-use csspgo::core::shard::{sharded_context_profile, sharded_range_counts};
 use csspgo::core::stalematch::MatchConfig;
-use csspgo::core::tailcall::TailCallGraph;
 use csspgo::core::{textprof, Workload};
-use csspgo::ir::Module;
-use csspgo::sim::{Machine, SimConfig};
 use csspgo::workloads::drift;
 use std::process::ExitCode;
 
@@ -171,7 +167,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         (Some(pf), Some(sf)) => {
             let profile = load_profile(&pf)?;
             let src = std::fs::read_to_string(&sf).map_err(|e| format!("reading {sf}: {e}"))?;
-            let module = probed_module(&src, &sf)?;
+            let module = pipeline::frontend(&src, &sf, true).map_err(|e| e.to_string())?;
             let before = analyzer.report().diagnostics.len();
             let outcome = analyzer.analyze_stale_match(&sf, &module, &profile, &match_cfg);
             let diags = analyzer.report().diagnostics[before..].to_vec();
@@ -250,7 +246,8 @@ fn diff_workload(
             continue;
         }
         let drifted_src = mutate(workload);
-        let module = probed_module(&drifted_src, &workload.name)?;
+        let module =
+            pipeline::frontend(&drifted_src, &workload.name, true).map_err(|e| e.to_string())?;
         let unit = format!("{}/{}", workload.name, name);
         let before = analyzer.report().diagnostics.len();
         let outcome = analyzer.analyze_stale_match(&unit, &module, &profile, match_cfg);
@@ -282,7 +279,8 @@ fn train_workload(
         .enumerate()
     {
         let scenario = format!("train-r{}-{mutator}", i + 1);
-        let module = probed_module(&source, &workload.name)?;
+        let module =
+            pipeline::frontend(&source, &workload.name, true).map_err(|e| e.to_string())?;
         let unit = format!("{}/{scenario}", workload.name);
         let before = analyzer.report().diagnostics.len();
         let outcome = analyzer.analyze_stale_match(&unit, &module, &profile, match_cfg);
@@ -296,64 +294,18 @@ fn train_workload(
     Ok(())
 }
 
-/// Compiles `src` and inserts pseudo-probes (the fresh-build side of the
-/// match).
-fn probed_module(src: &str, name: &str) -> Result<Module, String> {
-    let mut module = csspgo::lang::compile(src, name).map_err(|e| e.to_string())?;
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
-    Ok(module)
-}
-
-/// Runs the full CSSPGO collection pipeline on the clean build — like
+/// Collects the full-CSSPGO probe profile on the clean build — like
 /// `csspgo_lint`'s stage 3, except cold contexts are *not* trimmed: the
 /// differential analyzer wants maximum call-edge fidelity (trimming merges
 /// cold contexts into base profiles, discarding exactly the call anchors
 /// that rename matching aligns on), and it runs offline where profile size
 /// does not matter.
 fn collect_probe_profile(workload: &Workload) -> Result<ProbeProfile, String> {
-    let config = PipelineConfig::default();
-    let mut module = probed_module(&workload.source, &workload.name)?;
-    csspgo::opt::run_pipeline(&mut module, &config.opt);
-    let binary = lower_module(&module, &CodegenConfig::default());
-    let sim_cfg = SimConfig {
-        lbr_size: config.lbr_size,
-        pebs: config.pebs,
-        sample_period: config.sample_period,
-        seed: config.seed,
-        max_steps: config.max_steps,
-        ..SimConfig::default()
+    let untrimmed = PipelineConfig {
+        trim_threshold: 0,
+        ..PipelineConfig::default()
     };
-    let mut machine = Machine::new(&binary, sim_cfg);
-    for (name, values) in &workload.setup {
-        machine.set_global(name, values);
-    }
-    let samples = BatchSource
-        .collect(&mut machine, workload)
-        .map_err(|e| e.to_string())?;
-    let rc = sharded_range_counts(&binary, &samples, config.ingest_shards);
-    let tail_graph = TailCallGraph::build(&binary, &rc);
-    let unwound =
-        sharded_context_profile(&binary, Some(&tail_graph), &samples, config.ingest_shards);
-    let mut ctx_profile = unwound.profile;
-    let checksums = binary
-        .funcs
-        .iter()
-        .filter_map(|f| f.probe_checksum.map(|c| (f.guid, c)))
-        .collect();
-    ctx_profile.set_checksums(&checksums);
-    let mut probe_prof = ctx_profile.to_probe_profile();
-    for (fidx, c) in rc.entry_counts(&binary) {
-        let f = &binary.funcs[fidx as usize];
-        probe_prof
-            .names
-            .entry(f.guid)
-            .or_insert_with(|| f.name.clone());
-        if let Some(fp) = probe_prof.funcs.get_mut(&f.guid) {
-            fp.entry = fp.entry.max(c);
-        }
-    }
-    Ok(probe_prof)
+    pipeline::collect_probe_profile(workload, &untrimmed).map_err(|e| e.to_string())
 }
 
 /// Loads a saved probe-profile JSON.
@@ -397,31 +349,4 @@ fn print_summary(report: &DiffReport) {
             s.stale_recovered_fraction * 100.0
         );
     }
-}
-
-/// Pulls the (optional, single) value of `--flag`.
-fn opt_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => args
-            .get(i + 1)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{flag} needs a value")),
-        None => Ok(None),
-    }
-}
-
-/// Pulls every value of a repeatable `--flag`.
-fn multi_value(args: &[String], flag: &str) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == flag {
-            out.push(
-                args.get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))?,
-            );
-        }
-    }
-    Ok(out)
 }

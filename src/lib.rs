@@ -18,6 +18,7 @@
 //!   evaluation set,
 //! * [`analysis`] — probe-invariant and profile-integrity lints (the
 //!   `csspgo_lint` tool).
+//! * [`cli`] — flag parsing shared by the command-line binaries.
 //!
 //! ## Quickstart
 //!
@@ -32,6 +33,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+pub mod cli;
 
 pub use csspgo_analysis as analysis;
 pub use csspgo_codegen as codegen;

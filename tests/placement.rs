@@ -3,14 +3,13 @@
 //! every server workload, and — because the Kirchhoff reconstruction is
 //! exact — produce a bit-identical profile and optimized binary.
 
-use csspgo::core::pipeline::{run_pgo_cycle, PgoVariant, PipelineConfig};
+use csspgo::core::pipeline::{frontend, run_pgo_cycle, PgoVariant, PipelineConfig};
 use csspgo::opt::instrument::{self, InstrumentConfig, Placement};
 use csspgo::workloads::server_workloads;
 
 /// Counter sites each placement plants in a workload's profiling build.
 fn count_sites(source: &str, name: &str, placement: Placement) -> usize {
-    let mut module = csspgo::lang::compile(source, name).expect("workload compiles");
-    csspgo::opt::discriminators::run(&mut module);
+    let mut module = frontend(source, name, false).expect("workload compiles");
     let map = instrument::run_with(&mut module, &InstrumentConfig { placement });
     map.len()
 }

@@ -160,11 +160,8 @@ fn main(a, b) {{
 /// Runs `src` under a build configuration, returning outputs for several
 /// inputs (or None if the machine hit its budget).
 fn run_config(src: &str, probes: bool, instrument: bool, optimize: bool) -> Vec<i64> {
-    let mut m = csspgo::lang::compile(src, "prop").expect("generated program compiles");
-    csspgo::opt::discriminators::run(&mut m);
-    if probes {
-        csspgo::opt::probes::run(&mut m);
-    }
+    let mut m =
+        csspgo::core::pipeline::frontend(src, "prop", probes).expect("generated program compiles");
     if instrument {
         csspgo::opt::instrument::run(&mut m);
     }

@@ -48,9 +48,7 @@ fn serve(n, mode) {
     );
 
     // Probed build, served continuously.
-    let mut module = csspgo::lang::compile(src, "shifting").unwrap();
-    csspgo::opt::discriminators::run(&mut module);
-    csspgo::opt::probes::run(&mut module);
+    let module = csspgo::core::pipeline::frontend(src, "shifting", true).unwrap();
     let binary = csspgo::codegen::lower_module(&module, &csspgo::codegen::CodegenConfig::default());
     let mut machine = Machine::new(
         &binary,
